@@ -1,17 +1,9 @@
 """EXEC-SWEEP — execution cost of a cut, swept from a v3 trace.
 
-Two measurements in one artifact:
-
-* the *figure*: an execution-enabled sweep (mode × partitioner × k)
-  run end to end from an exported rctrace v3 file through
-  ``run_experiment`` — committed-transaction throughput next to the
-  dynamic edge cut that supposedly predicts it, for 2PC and
-  state-migration handling;
-* the *engine gate*: the columnar replay path
-  (:meth:`~repro.sharding.coordinator.ShardedExecution.replay_columnar`,
-  batched off the trace's dense index columns) must beat the boxed
-  per-Interaction path by >= 2x on the same rows and assignment while
-  producing a bit-identical :class:`ThroughputReport`.
+An execution-enabled sweep (mode × partitioner × k) run end to end
+from an exported rctrace v3 file through ``run_experiment``:
+committed-transaction throughput next to the dynamic edge cut that
+supposedly predicts it, for 2PC and state-migration handling.
 
 Artifact: ``benchmarks/out/execution_sweep.txt``.
 """
@@ -26,25 +18,13 @@ from repro.analysis.execution import (
     render_execution,
     render_throughput_vs_k,
 )
-from repro.analysis.render import ascii_table
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
-from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 SWEEP_METHODS = ("hash", "fennel", "metis")
 SWEEP_KS = (2, 4, 8)
 MODES = ("2pc", "migrate")
-
-
-def _best_of(fn, rounds=3):
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 @pytest.mark.benchmark(group="execution-sweep")
@@ -71,43 +51,8 @@ def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
         sections.append(f"[{mode} sweep: {len(spec.cells())} cells, "
                         f"jobs=2, {elapsed:.1f}s]")
 
-    # -- engine gate: columnar vs boxed replay, same rows/assignment ----
-    k = 4
-    assignment = dict(results["2pc"].get("metis", k).assignment)
-    cfg = ShardedExecutionConfig()
-    rate = 0.8 * k / cfg.service_time
-    boxed_rows = log.to_interactions()
-
-    def run_boxed():
-        ex = ShardedExecution(k, dict(assignment), cfg)
-        return ex.replay(boxed_rows, arrival_rate=rate)
-
-    def run_columnar():
-        ex = ShardedExecution(k, dict(assignment), cfg)
-        return ex.replay_columnar(log, arrival_rate=rate)
-
-    t_boxed, rep_boxed = _best_of(run_boxed)
-    t_cols, rep_cols = _best_of(run_columnar)
-    assert rep_cols == rep_boxed       # bit-identical reports
-    speedup = t_boxed / t_cols
-    sections.append(ascii_table(
-        ["replay path", "rows", "time", "tx/s simulated"],
-        [
-            ("boxed (Interaction list)", len(log), f"{t_boxed * 1e3:.1f}ms",
-             f"{rep_boxed.throughput:.0f}"),
-            ("columnar (dense columns)", len(log), f"{t_cols * 1e3:.1f}ms",
-             f"{rep_cols.throughput:.0f}"),
-        ],
-        title=f"engine: boxed vs columnar replay, k={k} "
-              f"(speedup {speedup:.2f}x, reports bit-identical)",
-    ))
-
     write_artifact(out_dir, "execution_sweep.txt", "\n\n".join(sections))
 
-    assert speedup >= 2.0, (
-        f"columnar replay only {speedup:.2f}x faster than boxed "
-        f"({t_cols * 1e3:.1f}ms vs {t_boxed * 1e3:.1f}ms)"
-    )
     # partition quality must show up as execution outcome: the
     # degenerate cut (hash) pays more cross-shard coordination than the
     # informed cuts at every k.  (Raw throughput is NOT monotone in cut

@@ -5,11 +5,10 @@ assignment is fed through :class:`~repro.sharding.ShardedExecution`
 under the grid's :class:`~repro.experiments.spec.ExecutionSpec`, and
 the resulting throughput report is attached as ``cell.execution``.
 
-Columnar logs take the batched `replay_columnar` driver (no
-``Interaction`` boxing); plain interaction lists fall back to the boxed
-path — both produce bit-identical reports, so the choice is purely a
-matter of speed.  Replays are strict: a cell whose assignment misses a
-replayed endpoint raises
+Every cell replays through the batched ``replay_columnar`` engine; a
+plain interaction list is interned into a ``ColumnarLog`` once per
+:func:`attach_execution` call.  Replays are strict: a cell whose
+assignment misses a replayed endpoint raises
 :class:`~repro.errors.UnassignedVertexError` instead of silently
 dropping load (the assignment came from replaying this very log, so a
 miss is a bug, not a degenerate input).
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.experiments.spec import ExecutionSpec
-from repro.graph.columnar import ColumnarLog
+from repro.graph.columnar import as_columnar
 from repro.sharding.coordinator import ShardedExecution
 from repro.sharding.throughput import ThroughputReport
 
@@ -33,31 +32,26 @@ def execute_assignment(
 ) -> ThroughputReport:
     """Replay ``log`` through ``k`` shards under ``assignment``.
 
-    ``log`` is a :class:`ColumnarLog` (batched driver) or a sequence of
-    :class:`~repro.graph.builder.Interaction` (boxed driver);
-    ``execution.max_rows`` caps the replay to the log tail either way.
+    ``log`` is a :class:`~repro.graph.columnar.ColumnarLog` or a
+    sequence of :class:`~repro.graph.builder.Interaction`;
+    ``execution.max_rows`` caps the replay to the log tail.
     """
-    ex = ShardedExecution(
-        k, assignment, execution.to_config(), strict=True
-    )
-    kwargs = dict(
+    log = as_columnar(log)
+    lo = 0
+    if execution.max_rows is not None:
+        lo = max(0, len(log) - execution.max_rows)
+    ex = ShardedExecution(k, assignment, execution.to_config())
+    return ex.replay_columnar(
+        log, lo, len(log),
         time_scale=execution.time_scale,
         arrival_rate=execution.arrival_rate,
     )
-    if isinstance(log, ColumnarLog):
-        lo = 0
-        if execution.max_rows is not None:
-            lo = max(0, len(log) - execution.max_rows)
-        return ex.replay_columnar(log, lo, len(log), **kwargs)
-    rows = log
-    if execution.max_rows is not None:
-        rows = rows[max(0, len(rows) - execution.max_rows):]
-    return ex.replay(rows, **kwargs)
 
 
 def attach_execution(log, cells: Iterable, execution: ExecutionSpec) -> None:
     """Attach a throughput report to each
     :class:`~repro.experiments.results.CellResult`, in place."""
+    log = as_columnar(log)
     for cell in cells:
         cell.execution = execute_assignment(
             log, cell.key.k, cell.assignment, execution

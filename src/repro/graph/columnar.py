@@ -343,3 +343,9 @@ class ColumnarLog:
             f"ColumnarLog(|log|={len(self._ts)}, |V|={self.num_vertices}, "
             f"span=[{self.first_timestamp}, {self.last_timestamp}])"
         )
+
+
+def as_columnar(log: Iterable[Interaction]) -> ColumnarLog:
+    """``log`` itself when already a :class:`ColumnarLog`, else a
+    columnar copy of the ``Interaction`` sequence."""
+    return log if isinstance(log, ColumnarLog) else ColumnarLog(log)

@@ -117,7 +117,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceFormatError
 from repro.graph.builder import Interaction
-from repro.graph.columnar import ColumnarLog
+from repro.graph.columnar import ColumnarLog, as_columnar
 from repro.graph.digraph import VertexKind
 
 _KIND_TO_CODE = {VertexKind.ACCOUNT: "A", VertexKind.CONTRACT: "C"}
@@ -616,8 +616,7 @@ def write_columnar(
             f"unsupported rctrace version {version!r} "
             f"(supported: {sorted(_MAGIC_BY_VERSION)})"
         )
-    if not isinstance(log, ColumnarLog):
-        log = ColumnarLog(log)
+    log = as_columnar(log)
 
     if version == TRACE_VERSION:
         sections = [

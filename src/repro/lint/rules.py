@@ -1205,7 +1205,8 @@ class RowwiseInteraction(Rule):
         ("metis", "graph.py"),
         ("metis", "matching.py"),
         ("metis", "refine.py"),
-        # the boxed replay path; replay_columnar is the batch rewrite
+        # converted (replay adapts onto the batch engine); kept in
+        # scope so a new per-row loop is still flagged
         ("sharding", "coordinator.py"),
     )
     _ROW_ATTRS = frozenset(

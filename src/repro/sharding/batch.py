@@ -1,25 +1,26 @@
-"""Batched columnar replay driver for the sharded executor.
+"""The sharded executor's event engine, batched off columnar logs.
 
-The closure-based path (:meth:`ShardedExecution.replay`) schedules one
-``Simulator`` callback per arrival and one ``Shard`` closure per phase
-job — fine for demo-sized streams, too slow for million-row v3 traces.
-This module replays the same cost model directly off ``ColumnarLog``'s
-dense columns with a flat tuple heap and array-backed shard state: no
+Both :class:`ShardedExecution` entry points run here (``replay`` interns
+an ``Interaction`` list and delegates to ``replay_columnar``).  The
+engine replays the cost model directly off ``ColumnarLog``'s dense
+columns with a flat tuple heap and array-backed shard state: no
 ``Interaction`` boxing, no per-job closure allocation.
 
-The engine is a *bit-identical* mirror of the closure machinery, not an
-approximation.  Equivalence hinges on three invariants, each matched
-exactly:
+It must stay bit-identical to the closure-based simulator it replaced
+(one ``Simulator`` callback per arrival, one ``Shard`` closure per
+phase job), which the tests keep as an oracle
+(``tests/sharding/closure_oracle.py``) and compare reports against
+with ``==``.  Equivalence hinges on three invariants:
 
-* **Event order.**  The simulator orders events by ``(time, seq)`` with
-  ``seq`` assigned at schedule time.  In the list path all n arrivals
-  are pre-scheduled (seqs ``0..n-1``) before any runtime event exists,
+* **Event order.**  Events are ordered by ``(time, seq)`` with ``seq``
+  assigned at schedule time, and all n arrivals precede every runtime
+  event in ``seq`` (the oracle pre-schedules them as seqs ``0..n-1``),
   so arrivals win every time tie.  Here arrivals are a sorted cursor,
   popped while ``(t_arrival, i) < (heap[0].time, heap[0].seq)``, and the
-  runtime ``seq`` counter starts at ``n`` — the same total order.
-* **Shard semantics.**  ``Shard.finish`` accrues busy time, runs the
-  completion hook (which may enqueue more work, including on the same
-  shard), *then* starts the next queued job — mirrored verbatim.
+  runtime ``seq`` counter starts at ``n``.
+* **Shard semantics.**  A finishing job accrues busy time, runs its
+  completion step (which may enqueue more work, including on the same
+  shard), *then* the shard starts its next queued job.
 * **Float order.**  Every arithmetic expression (``now + service``,
   ``now + rtt``, ``now - arrived_at``, warmup slicing) evaluates in the
   same order on the same values, so reports compare equal with ``==``.
@@ -33,6 +34,7 @@ from heapq import heappop, heappush
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationClockError, UnassignedVertexError
+from repro.sharding.throughput import LatencyStats, ThroughputReport
 
 # heap event kinds; payload is a shard id (_FINISH) or a tx state (_COMMITS)
 _FINISH = 0
@@ -52,7 +54,7 @@ def extract_transactions(
     Returns parallel lists: first-row timestamp and deduplicated
     endpoint tuple (dense indices, first-occurrence order — the same
     order ``dict.fromkeys(src0, dst0, src1, dst1, ...)`` yields in the
-    boxed path) per transaction.  Contiguity of tx_id rows is assumed,
+    oracle) per transaction.  Contiguity of tx_id rows is assumed,
     exactly as :func:`repro.graph.builder.group_by_transaction` does.
     """
     ts_col = log.timestamps()
@@ -91,13 +93,12 @@ def run_columnar(
     hi: int,
     time_scale: float,
     arrival_rate: Optional[float],
-    strict: bool,
-) -> None:
+) -> ThroughputReport:
     """Replay ``log[lo:hi]`` through ``ex`` (a ``ShardedExecution``).
 
-    Runs the batched engine, then folds counters, latencies, per-shard
-    accounting and the final clock back into ``ex`` so ``ex.report()``
-    is indistinguishable from a closure-path run.
+    Reads ``ex``'s config, assignment, state and ``strict`` flag; in
+    migrate mode, moves are written back to ``ex.assignment``.  The
+    report covers these rows only.
     """
     cfg = ex.config
     migrate = cfg.mode == "migrate"
@@ -130,8 +131,6 @@ def run_columnar(
     queues = [deque() for _ in range(k)]
     current: List[Any] = [None] * k
     busy_time = [0.0] * k
-    jobs_done = [0] * k
-    queue_wait = [0.0] * k
 
     latencies: List[float] = []
     completed = 0
@@ -140,7 +139,6 @@ def run_columnar(
     migrations = 0
     migration_bytes = 0
     unassigned = 0
-    last_completion = 0.0
     now = 0.0
 
     service_time = cfg.service_time
@@ -148,12 +146,13 @@ def run_columnar(
     commit_time = cfg.commit_time
     network_rtt = cfg.network_rtt
     world_state = ex.state
+    strict = ex.strict
 
     def submit(s: int, service: float, state: list) -> None:
-        # Shard.submit + _start_next on an idle shard collapse to this.
+        # queue behind the running job, or start at once on an idle shard
         nonlocal seq
         if busy[s]:
-            queues[s].append((service, state, now))
+            queues[s].append((service, state))
         else:
             busy[s] = 1
             current[s] = (service, state)
@@ -161,7 +160,7 @@ def run_columnar(
             seq += 1
 
     def phase_done(state: list) -> None:
-        nonlocal seq, completed, last_completion
+        nonlocal seq, completed
         state[0] -= 1
         if state[0] > 0:
             return
@@ -178,7 +177,6 @@ def run_columnar(
         else:
             completed += 1
             latencies.append(now - state[2])
-            last_completion = now
 
     def migration_time(dense: int) -> float:
         nonlocal migration_bytes
@@ -235,7 +233,7 @@ def run_columnar(
             for s, seconds in jobs:
                 submit(s, seconds, state)
             return
-        # 2pc: derive the shard set, mirroring shard_set()
+        # 2pc: the distinct shards hosting the endpoints, sorted
         sset = set()
         for v in eps:
             s = shard_of[v]
@@ -275,12 +273,10 @@ def run_columnar(
             s = payload
             service, state = current[s]
             busy_time[s] += service
-            jobs_done[s] += 1
             phase_done(state)
             q = queues[s]
             if q:
-                service, state, enqueued_at = q.popleft()
-                queue_wait[s] += now - enqueued_at
+                service, state = q.popleft()
                 current[s] = (service, state)
                 heappush(heap, (now + service, seq, _FINISH, s))
                 seq += 1
@@ -291,18 +287,21 @@ def run_columnar(
             for s in payload[3]:
                 submit(s, commit_time, payload)
 
-    # ---- fold results back into the executor -------------------------
-    ex.latencies.extend(latencies)
-    ex.completed += completed
-    ex.single_shard += single_shard
-    ex.multi_shard += multi_shard
-    ex.migrations += migrations
-    ex.migration_bytes += migration_bytes
-    ex.unassigned_endpoints += unassigned
-    ex._last_completion = max(ex._last_completion, last_completion)
-    for i in range(k):
-        shard = ex.shards[i]
-        shard.busy_time += busy_time[i]
-        shard.jobs_done += jobs_done[i]
-        shard.total_queue_wait += queue_wait[i]
-    ex.sim.run(until=now)
+    # ---- report: the clock stops at the last event ----------------
+    elapsed = now
+    skip = int(len(latencies) * cfg.warmup_fraction)
+    return ThroughputReport(
+        k=k,
+        completed=completed,
+        single_shard=single_shard,
+        multi_shard=multi_shard,
+        elapsed=elapsed,
+        throughput=completed / elapsed if elapsed > 0 else 0.0,
+        latency=LatencyStats.from_samples(latencies[skip:]),
+        utilization=tuple(
+            b / elapsed if elapsed > 0 else 0.0 for b in busy_time
+        ),
+        migrations=migrations,
+        migration_bytes=migration_bytes,
+        unassigned_endpoints=unassigned,
+    )

@@ -18,22 +18,21 @@ solution classes (§I):
   live assignment is updated, so later transactions benefit — or pay
   again when access patterns ping-pong.
 
-The driver replays an interaction log: each transaction arrives at its
-(scaled) timestamp, its shard set is derived from a vertex → shard
-assignment, and the report aggregates throughput and latency.
+The executor replays an interaction log through the batch engine
+(:mod:`repro.sharding.batch`): each transaction arrives at its (scaled)
+timestamp, its shard set is derived from a vertex → shard assignment,
+and the report aggregates throughput and latency.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, Mapping, Optional
 
-from repro.errors import UnassignedVertexError
-from repro.graph.builder import Interaction, group_by_transaction
+from repro.graph.builder import Interaction
+from repro.graph.columnar import ColumnarLog, as_columnar
 from repro.sharding.batch import run_columnar
-from repro.sharding.shard import Shard
-from repro.sharding.simulator import Simulator
-from repro.sharding.throughput import LatencyStats, ThroughputReport
+from repro.sharding.throughput import ThroughputReport
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,21 +72,18 @@ class ShardedExecutionConfig:
             )
 
 
-@dataclasses.dataclass
-class _TxState:
-    tx_id: int
-    shards: Tuple[int, ...]
-    arrived_at: float
-    pending: int = 0
-    phase: str = "prepare"
-
-
 class ShardedExecution:
     """Replays transactions against k shards under an assignment.
 
     In ``migrate`` mode the assignment is copied and mutated as state
-    moves happen; pass ``state`` (a :class:`WorldState`) to charge
-    per-vertex transfer times proportional to serialized account size.
+    moves happen, so moves carry over from one replay to the next;
+    pass ``state`` (a :class:`WorldState`) to charge per-vertex
+    transfer times proportional to serialized account size.
+
+    ``strict`` (the default) makes a replay that touches an endpoint
+    with no shard assignment raise :class:`UnassignedVertexError`
+    naming the vertex; ``strict=False`` counts such endpoints in
+    ``unassigned_endpoints`` instead.
     """
 
     def __init__(
@@ -96,7 +92,7 @@ class ShardedExecution:
         assignment: Mapping[int, int],
         config: Optional[ShardedExecutionConfig] = None,
         state=None,
-        strict: bool = False,
+        strict: bool = True,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -107,222 +103,40 @@ class ShardedExecution:
         )
         self.state = state
         self.strict = strict
-        self.sim = Simulator()
-        self.shards = [Shard(i, self.sim) for i in range(k)]
-        self.latencies: List[float] = []
-        self.completed = 0
-        self.single_shard = 0
-        self.multi_shard = 0
-        self.migrations = 0
-        self.migration_bytes = 0
-        self.unassigned_endpoints = 0
-        self._last_completion = 0.0
-
-    # ------------------------------------------------------------------
-
-    def shard_set(self, endpoints: Iterable[int]) -> Tuple[int, ...]:
-        """Distinct shards hosting the endpoints (sorted for determinism).
-
-        Endpoints without an assignment are counted in
-        ``unassigned_endpoints`` (and raise under ``strict``) rather
-        than silently dropped.
-        """
-        shards: Set[int] = set()
-        for v in endpoints:
-            s = self.assignment.get(v)
-            if s is not None:
-                shards.add(s)
-            else:
-                self._note_unassigned(v)
-        return tuple(sorted(shards))
-
-    def _note_unassigned(self, vertex: int) -> None:
-        if self.strict:
-            raise UnassignedVertexError(vertex)
-        self.unassigned_endpoints += 1
-
-    def submit_endpoints(self, tx_id: int, endpoints: Sequence[int]) -> None:
-        """Inject one transaction described by its endpoint vertices.
-
-        Dispatches to 2PC or state-migration handling per the config;
-        in migrate mode the shard set is computed against the *live*
-        (mutated) assignment.
-        """
-        if self.config.mode == "migrate":
-            self._submit_migrating(tx_id, endpoints)
-        else:
-            self.submit_transaction(tx_id, self.shard_set(endpoints))
-
-    def submit_transaction(self, tx_id: int, shards: Tuple[int, ...]) -> None:
-        """Inject one 2PC-mode transaction at the current sim time."""
-        if not shards:
-            return
-        cfg = self.config
-        if len(shards) == 1:
-            self.single_shard += 1
-            state = _TxState(tx_id, shards, self.sim.now, pending=1, phase="commit")
-            self.shards[shards[0]].submit(
-                cfg.service_time, lambda st=state: self._phase_done(st)
-            )
-            return
-
-        self.multi_shard += 1
-        state = _TxState(tx_id, shards, self.sim.now, pending=len(shards), phase="prepare")
-        for s in shards:
-            self.shards[s].submit(
-                cfg.prepare_time, lambda st=state: self._phase_done(st)
-            )
-
-    def _submit_migrating(self, tx_id: int, endpoints: Sequence[int]) -> None:
-        """Migrate minority vertices to the majority shard, run locally."""
-        placed = []
-        for v in dict.fromkeys(endpoints):
-            if v in self.assignment:
-                placed.append(v)
-            else:
-                self._note_unassigned(v)
-        if not placed:
-            return
-        shards = self.shard_set(placed)
-        if len(shards) == 1:
-            self.single_shard += 1
-            state = _TxState(tx_id, shards, self.sim.now, pending=1, phase="commit")
-            self.shards[shards[0]].submit(
-                self.config.service_time, lambda st=state: self._phase_done(st)
-            )
-            return
-
-        self.multi_shard += 1
-        # majority shard hosts the most endpoints; ties go to the lowest id
-        votes: Dict[int, int] = {}
-        for v in placed:
-            votes[self.assignment[v]] = votes.get(self.assignment[v], 0) + 1
-        target = min(votes, key=lambda s: (-votes[s], s))
-
-        movers = [v for v in placed if self.assignment[v] != target]
-        jobs: List[Tuple[int, float]] = []  # (shard, transfer time)
-        for v in movers:
-            seconds = self._migration_time(v)
-            jobs.append((self.assignment[v], seconds))  # serialize at source
-            jobs.append((target, seconds))              # apply at target
-            self.assignment[v] = target                 # sticky move
-            self.migrations += 1
-
-        state = _TxState(
-            tx_id, (target,), self.sim.now, pending=len(jobs), phase="migrate"
-        )
-        for shard, seconds in jobs:
-            self.shards[shard].submit(
-                seconds, lambda st=state: self._phase_done(st)
-            )
-
-    def _migration_time(self, vertex: int) -> float:
-        if self.state is not None:
-            acct = self.state.get_optional(vertex)
-            if acct is not None:
-                size = acct.state_bytes()
-                self.migration_bytes += size
-                return size / self.config.migration_bandwidth
-        return self.config.migration_time_fixed
-
-    def _phase_done(self, state: _TxState) -> None:
-        state.pending -= 1
-        if state.pending > 0:
-            return
-        if state.phase == "prepare":
-            # all prepared: votes travel one RTT, then commit everywhere
-            state.phase = "commit"
-            state.pending = len(state.shards)
-
-            def start_commits() -> None:
-                for s in state.shards:
-                    self.shards[s].submit(
-                        self.config.commit_time,
-                        lambda st=state: self._phase_done(st),
-                    )
-
-            self.sim.schedule(self.config.network_rtt, start_commits)
-        elif state.phase == "migrate":
-            # all state landed on the target: execute locally
-            state.phase = "commit"
-            state.pending = 1
-            target = state.shards[0]
-            self.shards[target].submit(
-                self.config.service_time, lambda st=state: self._phase_done(st)
-            )
-        else:
-            self.completed += 1
-            self.latencies.append(self.sim.now - state.arrived_at)
-            self._last_completion = self.sim.now
-
-    # ------------------------------------------------------------------
 
     def replay(
         self,
-        interactions: Sequence[Interaction],
+        interactions: Iterable[Interaction],
         time_scale: float = 0.0,
         arrival_rate: Optional[float] = None,
     ) -> ThroughputReport:
         """Replay an interaction log grouped into transactions.
 
-        Arrival process: either compress the original timestamps by
-        ``time_scale`` (seconds of sim time per second of history), or —
-        the default — open-loop Poisson-like arrivals at
-        ``arrival_rate`` transactions/second (deterministically spaced;
-        rate defaults to 80% of the single-shard capacity k/service).
+        Accepts a :class:`ColumnarLog` as is, or any ``Interaction``
+        sequence (interned into one first); see :meth:`replay_columnar`.
         """
-        if time_scale < 0:
-            raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        if arrival_rate is not None and not arrival_rate > 0:
-            raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        txs: List[Tuple[int, float, Tuple[int, ...]]] = []
-        for tx_id, bucket in group_by_transaction(interactions):
-            endpoints = tuple(
-                dict.fromkeys(e for it in bucket for e in (it.src, it.dst))
-            )
-            txs.append((tx_id, bucket[0].timestamp, endpoints))
-
-        if time_scale > 0:
-            base = txs[0][1] if txs else 0.0
-            for tx_id, ts, endpoints in txs:
-                self.sim.schedule_at(
-                    (ts - base) * time_scale,
-                    lambda t=tx_id, e=endpoints: self.submit_endpoints(t, e),
-                )
-        else:
-            if arrival_rate is None:
-                arrival_rate = 0.8 * self.k / self.config.service_time
-            gap = 1.0 / arrival_rate
-            for i, (tx_id, _ts, endpoints) in enumerate(txs):
-                self.sim.schedule_at(
-                    i * gap, lambda t=tx_id, e=endpoints: self.submit_endpoints(t, e)
-                )
-
-        self.sim.run()
-        return self.report()
+        return self.replay_columnar(
+            as_columnar(interactions),
+            time_scale=time_scale,
+            arrival_rate=arrival_rate,
+        )
 
     def replay_columnar(
         self,
-        log,
+        log: ColumnarLog,
         lo: int = 0,
         hi: Optional[int] = None,
         time_scale: float = 0.0,
         arrival_rate: Optional[float] = None,
-        strict: Optional[bool] = None,
     ) -> ThroughputReport:
-        """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog` batched.
+        """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog`.
 
-        The columnar driver groups transactions directly off the dense
-        ``src_indices()``/``dst_indices()``/``tx_ids()`` columns and
-        runs a flat-heap event engine (:mod:`repro.sharding.batch`) —
-        no ``Interaction`` boxing, no per-phase closures — producing a
-        report bit-identical to :meth:`replay` on the boxed equivalent
-        of the same slice.
-
-        ``strict`` defaults to True: trace-backed replays must not
-        touch unpartitioned vertices (:class:`UnassignedVertexError`
-        names the offender).  Pass ``strict=False`` to count them in
-        ``unassigned_endpoints`` instead.
+        Arrival process: either compress the original timestamps by
+        ``time_scale`` (seconds of sim time per second of history), or —
+        the default — open-loop arrivals at ``arrival_rate``
+        transactions/second (deterministically spaced; rate defaults to
+        80% of the single-shard capacity k/service).  Each call reports
+        only its own rows.
         """
         if hi is None:
             hi = len(log)
@@ -334,27 +148,4 @@ class ShardedExecution:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         if arrival_rate is not None and not arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        if strict is None:
-            strict = True
-        run_columnar(self, log, lo, hi, time_scale, arrival_rate, strict)
-        return self.report()
-
-    def report(self) -> ThroughputReport:
-        elapsed = max(self._last_completion, self.sim.now)
-        lat = self.latencies
-        skip = int(len(lat) * self.config.warmup_fraction)
-        return ThroughputReport(
-            k=self.k,
-            completed=self.completed,
-            single_shard=self.single_shard,
-            multi_shard=self.multi_shard,
-            elapsed=elapsed,
-            throughput=self.completed / elapsed if elapsed > 0 else 0.0,
-            latency=LatencyStats.from_samples(lat[skip:]),
-            utilization=tuple(
-                s.utilization(elapsed) if elapsed > 0 else 0.0 for s in self.shards
-            ),
-            migrations=self.migrations,
-            migration_bytes=self.migration_bytes,
-            unassigned_endpoints=self.unassigned_endpoints,
-        )
+        return run_columnar(self, log, lo, hi, time_scale, arrival_rate)

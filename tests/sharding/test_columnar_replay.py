@@ -1,9 +1,10 @@
-"""List-vs-columnar driver equivalence and execution determinism.
+"""Batch-engine equivalence against the closure oracle, and determinism.
 
-The batched columnar driver (`replay_columnar`) must be a bit-identical
-mirror of the closure-based list path — same event order, same float
-arithmetic order — so these tests compare full ``ThroughputReport``
-values with ``==``, never ``approx``.
+The batch engine behind ``replay`` / ``replay_columnar`` must stay a
+bit-identical mirror of the original closure-based simulator (kept in
+``closure_oracle.py``) — same event order, same float arithmetic order
+— so these tests compare full ``ThroughputReport`` values with ``==``,
+never ``approx``.
 """
 
 import random
@@ -14,6 +15,8 @@ from repro.errors import UnassignedVertexError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
+
+from closure_oracle import ClosureExecution
 
 
 CFG_2PC = ShardedExecutionConfig(
@@ -56,50 +59,53 @@ class TestDriverEquivalence:
     @pytest.mark.parametrize("k", [2, 4])
     def test_rate_mode_bit_identical(self, cfg, k):
         asg = full_assignment(k)
-        boxed = ShardedExecution(k, asg, cfg).replay(STREAM, arrival_rate=120.0)
+        oracle = ClosureExecution(k, asg, cfg).replay(STREAM, arrival_rate=120.0)
         cols = ShardedExecution(k, asg, cfg).replay_columnar(
             LOG, arrival_rate=120.0
         )
-        assert boxed == cols
+        assert oracle == cols
+        # the Interaction-list entry point is the same engine
+        assert ShardedExecution(k, asg, cfg).replay(
+            STREAM, arrival_rate=120.0
+        ) == cols
 
     @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
     def test_time_scale_mode_bit_identical(self, cfg):
         asg = full_assignment(2)
-        boxed = ShardedExecution(2, asg, cfg).replay(STREAM, time_scale=0.5)
+        oracle = ClosureExecution(2, asg, cfg).replay(STREAM, time_scale=0.5)
         cols = ShardedExecution(2, asg, cfg).replay_columnar(LOG, time_scale=0.5)
-        assert boxed == cols
+        assert oracle == cols
 
     def test_default_arrival_rate_matches(self):
         asg = full_assignment(3)
-        boxed = ShardedExecution(3, asg, CFG_2PC).replay(STREAM)
+        oracle = ClosureExecution(3, asg, CFG_2PC).replay(STREAM)
         cols = ShardedExecution(3, asg, CFG_2PC).replay_columnar(LOG)
-        assert boxed == cols
+        assert oracle == cols
 
     @pytest.mark.parametrize("lo,hi", [(0, len(STREAM)), (10, 137), (57, 58), (5, 5)])
     def test_row_slices_match_boxed_slices(self, lo, hi):
         asg = full_assignment(2)
-        rows = LOG.to_interactions()[lo:hi]
-        boxed = ShardedExecution(2, asg, CFG_2PC).replay(rows, arrival_rate=150.0)
+        rows = LOG[lo:hi]
+        oracle = ClosureExecution(2, asg, CFG_2PC).replay(rows, arrival_rate=150.0)
         cols = ShardedExecution(2, asg, CFG_2PC).replay_columnar(
             LOG, lo, hi, arrival_rate=150.0
         )
-        assert boxed == cols
+        assert oracle == cols
 
     def test_migrate_live_assignment_matches(self):
         asg = full_assignment(2)
-        ex_boxed = ShardedExecution(2, asg, CFG_MIGRATE)
+        ex_oracle = ClosureExecution(2, asg, CFG_MIGRATE)
         ex_cols = ShardedExecution(2, asg, CFG_MIGRATE)
-        ex_boxed.replay(STREAM, arrival_rate=120.0)
+        ex_oracle.replay(STREAM, arrival_rate=120.0)
         ex_cols.replay_columnar(LOG, arrival_rate=120.0)
-        assert ex_boxed.assignment == ex_cols.assignment
+        assert ex_oracle.assignment == ex_cols.assignment
         assert asg == full_assignment(2)  # the input mapping stays untouched
 
     def test_empty_log(self):
-        boxed = ShardedExecution(2, {}, CFG_2PC, strict=False).replay([])
-        cols = ShardedExecution(2, {}, CFG_2PC).replay_columnar(
-            ColumnarLog(), strict=False
-        )
-        assert boxed == cols
+        oracle = ClosureExecution(2, {}, CFG_2PC).replay([])
+        cols = ShardedExecution(2, {}, CFG_2PC).replay_columnar(ColumnarLog())
+        assert oracle == cols
+        assert ShardedExecution(2, {}, CFG_2PC).replay([]) == cols
         assert cols.completed == 0
         assert cols.throughput == 0.0
 
@@ -123,6 +129,23 @@ class TestRepeatRunDeterminism:
         ]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
+    @pytest.mark.parametrize("entry", ["replay", "replay_columnar"])
+    def test_second_replay_on_one_executor_reports_only_its_rows(self, cfg, entry):
+        # each call reports only its own rows; in migrate mode the first
+        # replay's moves carry over through ex.assignment
+        def run(ex):
+            if entry == "replay":
+                return ex.replay(STREAM, arrival_rate=120.0)
+            return ex.replay_columnar(LOG, arrival_rate=120.0)
+
+        ex = ShardedExecution(2, full_assignment(2), cfg)
+        run(ex)
+        fresh = run(ShardedExecution(2, ex.assignment, cfg))
+        second = run(ex)
+        assert second == fresh
+        assert max(second.utilization) <= 1.0
+
 
 class TestWarmupEdges:
     def _cfg(self, fraction):
@@ -141,7 +164,7 @@ class TestWarmupEdges:
 
     def test_zero_samples_with_warmup(self):
         rep = ShardedExecution(2, {}, self._cfg(0.5)).replay_columnar(
-            ColumnarLog(), strict=False
+            ColumnarLog()
         )
         assert rep.latency.count == 0
 
@@ -158,13 +181,13 @@ class TestWarmupEdges:
 
     def test_warmup_agrees_across_drivers(self):
         asg = full_assignment(2)
-        boxed = ShardedExecution(2, asg, self._cfg(0.3)).replay(
+        oracle = ClosureExecution(2, asg, self._cfg(0.3)).replay(
             STREAM, arrival_rate=100.0
         )
         cols = ShardedExecution(2, asg, self._cfg(0.3)).replay_columnar(
             LOG, arrival_rate=100.0
         )
-        assert boxed == cols
+        assert oracle == cols
 
 
 class TestStrictAndUnassigned:
@@ -191,15 +214,21 @@ class TestStrictAndUnassigned:
     @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
     def test_unassigned_counts_match_across_drivers(self, cfg):
         asg = self._partial(2)
-        boxed = ShardedExecution(2, asg, cfg).replay(STREAM, arrival_rate=100.0)
-        cols = ShardedExecution(2, asg, cfg).replay_columnar(
-            LOG, arrival_rate=100.0, strict=False
+        oracle = ClosureExecution(2, asg, cfg).replay(STREAM, arrival_rate=100.0)
+        cols = ShardedExecution(2, asg, cfg, strict=False).replay_columnar(
+            LOG, arrival_rate=100.0
         )
-        assert boxed == cols
+        assert oracle == cols
         assert cols.unassigned_endpoints > 0
 
+    def test_constructor_strict_governs_columnar_replay(self):
+        rep = ShardedExecution(
+            2, self._partial(2), CFG_2PC, strict=False
+        ).replay_columnar(LOG, arrival_rate=100.0)
+        assert rep.unassigned_endpoints > 0
+
     def test_list_path_counts_instead_of_dropping(self):
-        rep = ShardedExecution(2, {1: 0}, CFG_2PC).replay(
+        rep = ShardedExecution(2, {1: 0}, CFG_2PC, strict=False).replay(
             [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)],
             arrival_rate=10.0,
         )
@@ -207,7 +236,7 @@ class TestStrictAndUnassigned:
         assert rep.completed == 1  # the assigned endpoint still executes
 
     def test_strict_list_path_raises(self):
-        ex = ShardedExecution(2, {1: 0}, CFG_2PC, strict=True)
+        ex = ShardedExecution(2, {1: 0}, CFG_2PC)  # strict by default
         with pytest.raises(UnassignedVertexError, match="99"):
             ex.replay(
                 [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)],

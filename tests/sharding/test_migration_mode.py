@@ -31,46 +31,40 @@ class TestMigrateMode:
 
     def test_single_shard_tx_unaffected(self):
         ex = ShardedExecution(2, {1: 0, 2: 0}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2))
-        ex.sim.run()
-        assert ex.completed == 1
-        assert ex.migrations == 0
-        assert ex.latencies == [1.0]
+        rep = ex.replay(tx_stream([(1, 2)]))
+        assert rep.completed == 1
+        assert rep.migrations == 0
+        assert rep.latency.maximum == 1.0
 
     def test_minority_vertex_moves_to_majority(self):
         ex = ShardedExecution(2, {1: 0, 2: 0, 3: 1}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2, 3))
-        ex.sim.run()
-        assert ex.migrations == 1
+        rep = ex.replay(tx_stream([(1, 2, 3)]))
+        assert rep.migrations == 1
         assert ex.assignment[3] == 0  # sticky move
 
     def test_migration_latency(self):
         ex = ShardedExecution(2, {1: 0, 2: 1}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2))
-        ex.sim.run()
+        rep = ex.replay(tx_stream([(1, 2)]))
         # tie between shards -> target 0; vertex 2 moves: 3s at source
         # and 3s at target (parallel) then 1s local execution
-        assert ex.latencies == [pytest.approx(4.0)]
+        assert rep.latency.maximum == pytest.approx(4.0)
 
     def test_second_tx_benefits_from_move(self):
         ex = ShardedExecution(2, {1: 0, 2: 1}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2))
-        ex.sim.run()
-        ex.submit_endpoints(1, (1, 2))
-        ex.sim.run()
-        assert ex.single_shard == 1  # the repeat pair is now co-located
-        assert ex.multi_shard == 1
+        first = ex.replay(tx_stream([(1, 2)]))
+        second = ex.replay(tx_stream([(1, 2)]))
+        assert first.multi_shard == 1
+        assert second.single_shard == 1  # the repeat pair is now co-located
+        assert second.multi_shard == 0
 
     def test_ping_pong_costs_repeatedly(self):
         # vertex 2 is pulled between shard-0 and shard-1 majorities
         ex = ShardedExecution(2, {1: 0, 2: 1, 3: 1, 4: 1}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 1, 2))  # tie 0 vs 1 -> target 0, 2 moves
-        ex.sim.run()
+        first = ex.replay(tx_stream([(1, 1, 2)]))  # tie 0 vs 1 -> target 0
         assert ex.assignment[2] == 0
-        ex.submit_endpoints(1, (2, 3, 4))  # majority on 1 -> 2 moves back
-        ex.sim.run()
+        second = ex.replay(tx_stream([(2, 3, 4)]))  # majority on 1 -> back
         assert ex.assignment[2] == 1
-        assert ex.migrations == 2
+        assert first.migrations + second.migrations == 2
 
     def test_state_sized_migration(self):
         state = WorldState()
@@ -85,18 +79,16 @@ class TestMigrateMode:
         ex = ShardedExecution(
             2, {eoa.address: 0, other.address: 0, fat.address: 1}, cfg, state=state
         )
-        ex.submit_endpoints(0, (eoa.address, other.address, fat.address))
-        ex.sim.run()
-        assert ex.migration_bytes == fat.state_bytes()
+        rep = ex.replay(tx_stream([(eoa.address, other.address, fat.address)]))
+        assert rep.migration_bytes == fat.state_bytes()
         # transfer time dominates: bytes/bandwidth on each side
         expected = fat.state_bytes() / 1000.0 + 1.0
-        assert ex.latencies[0] == pytest.approx(expected)
+        assert rep.latency.maximum == pytest.approx(expected)
 
     def test_original_assignment_not_mutated(self):
         original = {1: 0, 2: 1}
         ex = ShardedExecution(2, original, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2))
-        ex.sim.run()
+        ex.replay(tx_stream([(1, 2)]))
         assert original == {1: 0, 2: 1}
 
     def test_replay_in_migrate_mode(self):
@@ -110,7 +102,5 @@ class TestMigrateMode:
 
     def test_report_carries_migration_stats(self):
         ex = ShardedExecution(2, {1: 0, 2: 1}, MIGRATE_CFG)
-        ex.submit_endpoints(0, (1, 2))
-        ex.sim.run()
-        rep = ex.report()
+        rep = ex.replay(tx_stream([(1, 2)]))
         assert rep.migrations == 1

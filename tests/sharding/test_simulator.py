@@ -1,11 +1,14 @@
-"""Unit tests for the DES kernel, shards and event queue."""
+"""Unit tests for the closure oracle's DES kernel, shards and event queue.
+
+The batch engine is checked against ``closure_oracle.ClosureExecution``
+with ``==``; these tests pin the kernel that oracle runs on.
+"""
 
 import pytest
 
 from repro.errors import SimulationClockError
-from repro.sharding.events import EventQueue
-from repro.sharding.shard import Shard
-from repro.sharding.simulator import Simulator
+
+from closure_oracle import EventQueue, Shard, Simulator
 
 
 class TestEventQueue:

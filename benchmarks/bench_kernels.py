@@ -3,15 +3,14 @@
 Two claims are enforced here, matching the kernel layer's contract
 (``src/repro/kernels``):
 
-* **micro gates** — every kernel a backend lists in its
-  ``ACCELERATED`` set must beat the ``pure`` reference by >= 3x on its
-  microloop over this run's workload columns.  Backends deliberately
-  claim only what measures true at the paper's workload shape: numpy
-  claims the whole-array kernels (window accounting over large ranges,
-  static-cut recounts, CSR cut scans) and *not* the per-metric-window
-  stream kernels, where ~100-row windows make the per-call overhead
-  dominate; the stdlib ``array`` backend claims none and exists as the
-  no-dependency second implementation.
+* **micro gates** — each kernel is timed at the call shape its callers
+  make: the windowed kernels once per 24 h metric window across the
+  log, the rest over the whole log or graph.  Every kernel a backend
+  lists in its ``ACCELERATED`` set must beat the ``pure`` reference by
+  >= 3x, and every other kernel the backend implements itself must at
+  least match it (>= 1x): a backend vectorises a kernel only where that
+  wins.  Kernels a backend takes from ``pure`` unchanged are reported
+  as aliases and not timed twice.
 
 * **paper-scale sweep** — the five-method fig5 grid
   (``PAPER_ORDER`` x k in {2, 4, 8}, warm METIS family) replayed from
@@ -41,11 +40,13 @@ from repro.graph.io import write_columnar
 from repro.kernels import StreamState
 from repro.metis.graph import CSRGraph
 
-GATE = 3.0
+GATE = 3.0   # kernels a backend claims in ACCELERATED
+FLOOR = 1.0  # every other kernel a backend implements itself
 SWEEP_METHODS = (
     "hash", "kl", "metis?warm=true", "p-metis?warm=true", "tr-metis?warm=true",
 )
 SWEEP_KS = (2, 4, 8)
+WINDOW_HOURS = 24.0
 
 
 def _gating(bench_scale: str) -> bool:
@@ -57,18 +58,60 @@ def _gating(bench_scale: str) -> bool:
 def _best_of(fn, reps: int = 5) -> float:
     best = float("inf")
     for _ in range(reps):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, time.process_time() - t0)
     return best
+
+
+def _best_pair(fn, backend: str, reps: int = 5):
+    """Best-of process CPU seconds of ``fn`` under pure and ``backend``.
+
+    The two backends alternate round by round, so drift in machine
+    state (caches, neighbours on a shared host) hits both sides alike.
+    """
+    best = {"pure": float("inf"), backend: float("inf")}
+    for _ in range(reps):
+        for name in best:
+            with kernels.using_backend(name):
+                t0 = time.process_time()
+                fn()
+                best[name] = min(best[name], time.process_time() - t0)
+    return best["pure"], best[backend]
+
+
+def _metric_windows(clog: ColumnarLog):
+    """``[lo, hi)`` row ranges of the replay's metric windows.
+
+    The same walk ``MultiReplayEngine.run`` makes: ``WINDOW_HOURS``
+    windows from the first timestamp up to one second past the last.
+    """
+    bounds = []
+    if not len(clog):
+        return bounds
+    step = WINDOW_HOURS * 3600.0
+    start, end = clog.first_timestamp, clog.last_timestamp + 1.0
+    lo = 0
+    while start < end:
+        hi = max(clog.index_at(start + step), lo)
+        bounds.append((lo, hi))
+        lo = hi
+        start += step
+    return bounds
 
 
 def _micro_loops(clog: ColumnarLog):
     """Name -> zero-arg microloop, per backend resolution at call time.
 
-    Each loop is the kernel's natural batch unit at this scale: the
-    whole column range (what cold starts, recounts and snapshots pay)
-    — the unit the ACCELERATED speedup claims are made on.
+    Each loop times a kernel at the call shape its callers make — the
+    unit the ACCELERATED speedup claims are made on.  The windowed
+    kernels run once per 24 h metric window across the whole log, as
+    ``MultiReplayEngine.run`` (``window_pass``, ``account_window``) and
+    ``compute_window_stats`` (``max_index``) call them; the period
+    builds (``graph_batch``, ``csr_from_window``) are timed over the
+    same windows.  Cut recounts, CSR snapshots and the refinement
+    kernels run over the whole log / whole graph, as cold starts,
+    repartitions and refiners do.
     """
     ts, src, dst = clog.timestamps(), clog.src_indices(), clog.dst_indices()
     tx = clog.tx_ids()
@@ -76,12 +119,16 @@ def _micro_loops(clog: ColumnarLog):
     n = len(clog)
     k = 4
     shard = array("i", [(7 * v) % k for v in range(clog.num_vertices)])
+    windows = _metric_windows(clog)
 
     with kernels.using_backend("pure"):
         kp = kernels.active()
-        batch = kp.window_pass(ts, src, dst, tx, sk, dk, 0, n, StreamState())
         state = StreamState()
-        state.record_new_edges(batch.new_edges)
+        window_new_edges = []
+        for lo, hi in windows:
+            batch = kp.window_pass(ts, src, dst, tx, sk, dk, lo, hi, state)
+            state.record_new_edges(batch.new_edges)
+            window_new_edges.append(batch.new_edges)
         xadj, adjncy, adjwgt, vwgt, _ = kp.csr_from_window(src, dst, 0, n, "unit")
     graph = CSRGraph(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt)
     part = [shard[v] for v in range(graph.num_vertices)]
@@ -92,6 +139,23 @@ def _micro_loops(clog: ColumnarLog):
     with kernels.using_backend("pure"):
         boundary = kernels.active().boundary_list(graph, part)
 
+    def window_pass_loop():
+        kr, stream = kernels.active(), StreamState()
+        for lo, hi in windows:
+            kr.window_pass(ts, src, dst, tx, sk, dk, lo, hi, stream)
+
+    def account_window_loop():
+        kr = kernels.active()
+        for (lo, hi), new_edges in zip(windows, window_new_edges):
+            kr.account_window(src, dst, lo, hi, new_edges, shard, k)
+
+    def per_window(name, cols, *tail):
+        def loop():
+            fn = getattr(kernels.active(), name)
+            for lo, hi in windows:
+                fn(*cols, lo, hi, *tail)
+        return loop
+
     def acc_loop():
         acc = kernels.active().CSRAccumulator()
         acc.advance(src, dst, 0, n)
@@ -99,16 +163,14 @@ def _micro_loops(clog: ColumnarLog):
 
     kr = kernels.active  # resolved inside each lambda: current backend
     return {
-        "window_pass": lambda: kr().window_pass(
-            ts, src, dst, tx, sk, dk, 0, n, StreamState()),
-        "account_window": lambda: kr().account_window(
-            src, dst, 0, n, batch.new_edges, shard, k),
+        "window_pass": window_pass_loop,
+        "account_window": account_window_loop,
         "static_cut_count": lambda: kr().static_cut_count(
             state.esrc, state.edst, shard),
-        "max_index": lambda: kr().max_index(src, dst, 0, n),
-        "csr_accumulate": acc_loop,
-        "csr_from_window": lambda: kr().csr_from_window(src, dst, 0, n, "unit"),
-        "graph_batch": lambda: kr().graph_batch(ts, src, dst, sk, dk, 0, n),
+        "max_index": per_window("max_index", (src, dst)),
+        "CSRAccumulator": acc_loop,
+        "csr_from_window": per_window("csr_from_window", (src, dst), "unit"),
+        "graph_batch": per_window("graph_batch", (ts, src, dst, sk, dk)),
         "part_weights": lambda: kr().part_weights(graph, part, k),
         "boundary_list": lambda: kr().boundary_list(graph, part),
         "cut_value": lambda: kr().cut_value(graph, part),
@@ -127,34 +189,40 @@ def test_kernel_micro_gates(runner, bench_scale, out_dir):
     clog = ColumnarLog(runner.workload.builder.log)
     loops = _micro_loops(clog)
     backends = [b for b in kernels.available_backends() if b != "pure"]
-
     with kernels.using_backend("pure"):
-        pure_times = {name: _best_of(fn) for name, fn in loops.items()}
+        pure = kernels.active()
 
     rows = []
     failures = []
     for backend in backends:
         with kernels.using_backend(backend):
-            claimed = getattr(kernels.active(), "ACCELERATED", frozenset())
-            for name, fn in loops.items():
-                t = _best_of(fn)
-                speedup = pure_times[name] / t if t > 0 else float("inf")
-                gated = name in claimed
-                rows.append((
-                    name, backend,
-                    f"{pure_times[name] * 1e3:.2f}", f"{t * 1e3:.2f}",
-                    f"{speedup:.2f}x", "yes" if gated else "",
-                ))
-                if gated and speedup < GATE:
-                    failures.append(f"{backend}:{name} {speedup:.2f}x < {GATE}x")
+            module = kernels.active()
+        claimed = getattr(module, "ACCELERATED", frozenset())
+        for name, fn in loops.items():
+            if getattr(module, name) is getattr(pure, name):
+                with kernels.using_backend("pure"):
+                    t_pure = _best_of(fn)
+                rows.append((name, backend, f"{t_pure * 1e3:.2f}",
+                             "= pure", "", ""))
+                continue
+            t_pure, t = _best_pair(fn, backend)
+            speedup = t_pure / t if t > 0 else float("inf")
+            gate = GATE if name in claimed else FLOOR
+            rows.append((
+                name, backend, f"{t_pure * 1e3:.2f}", f"{t * 1e3:.2f}",
+                f"{speedup:.2f}x", f">={gate:g}x",
+            ))
+            if speedup < gate:
+                failures.append(f"{backend}:{name} {speedup:.2f}x < {gate:g}x")
 
     table = ascii_table(
-        ("kernel", "backend", "pure ms", "backend ms", "speedup", ">=3x gate"),
+        ("kernel", "backend", "pure ms", "backend ms", "speedup", "gate"),
         rows,
     )
     write_artifact(
         out_dir, "kernels_micro.txt",
-        f"kernel microloops, scale={bench_scale}, rows={len(clog)}\n{table}",
+        f"kernel microloops, scale={bench_scale}, rows={len(clog)}, "
+        f"{WINDOW_HOURS:g} h metric windows, best-of-5 process CPU\n{table}",
     )
     if _gating(bench_scale):
         assert not failures, "; ".join(failures)
@@ -173,7 +241,7 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
     clog = ColumnarLog(runner.workload.builder.log)
     write_columnar(clog, trace, version=3)
     spec = ExperimentSpec(
-        methods=SWEEP_METHODS, ks=SWEEP_KS, window_hours=24.0,
+        methods=SWEEP_METHODS, ks=SWEEP_KS, window_hours=WINDOW_HOURS,
         source=str(trace),
     )
 
@@ -203,7 +271,7 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
     split = []
     for method in SWEEP_METHODS:
         single = ExperimentSpec(
-            methods=(method,), ks=SWEEP_KS, window_hours=24.0,
+            methods=(method,), ks=SWEEP_KS, window_hours=WINDOW_HOURS,
             source=str(trace),
         )
         t0 = time.perf_counter()
@@ -236,12 +304,13 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
             ],
         ),
         "",
-        "note: KL repartitioning and METIS refinement now ride the batched",
-        "refinement kernels (conn_matrix / gain_vector / kl_proposals), so",
-        "backend choice moves the whole-grid total ~15-20% (it used to be",
-        "~10%: the refiners were backend-independent python loops); the",
-        ">=3x kernel speedups are enforced per-microloop — see",
-        "kernels_micro.txt.  absolute seconds are machine-state dependent:",
-        "compare backends within one run, not across recorded artifacts.",
+        "note: numpy vectorises the cut recounts and the batched",
+        "refinement kernels (conn_matrix / gain_vector / kl_proposals) that",
+        "KL repartitioning and METIS refinement ride, and takes the",
+        "per-window stream kernels from pure, so the whole-grid gap is the",
+        "refiners' share; per-kernel speedups at each kernel's call shape",
+        "are gated in kernels_micro.txt.  absolute seconds are",
+        "machine-state dependent: compare backends within one run, not",
+        "across recorded artifacts.",
     ]
     write_artifact(out_dir, "paper_scale_sweep.txt", "\n".join(lines))

@@ -4,7 +4,7 @@ environments without the `wheel` package.
 The package itself is dependency-free.  The ``[numpy]`` extra opts in
 to the vectorised kernel backend (see ``src/repro/kernels``): when
 numpy is importable it becomes the default backend, and without it the
-stdlib backends give bit-identical results.
+``pure`` backend gives bit-identical results.
 """
 
 from setuptools import setup

@@ -4,11 +4,12 @@ The kernels operate directly on the dense columns
 :class:`repro.graph.columnar.ColumnarLog` exposes (timestamps, interned
 src/dst indices, transaction ids, kind codes) and return plain
 python/array values the engine folds back into its data structures.
-Every kernel is implemented by three interchangeable backends — see
-:mod:`repro.kernels.backend` for selection — and all backends are
-bit-identical to the ``pure`` reference, including every ordering the
-downstream graphs observe (``docs/kernels.md`` spells out the
-contract).
+Every kernel is served by two interchangeable backends — see
+:mod:`repro.kernels.backend` for selection — the ``pure`` reference
+and ``numpy``, which vectorises the kernels where that wins and reuses
+the ``pure`` functions elsewhere.  Both are bit-identical, including
+every ordering the downstream graphs observe (``docs/kernels.md``
+spells out the contract).
 
 Hot-path callers grab the backend module once per window/pass::
 

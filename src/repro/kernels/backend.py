@@ -1,21 +1,22 @@
 """Kernel backend selection.
 
-Three interchangeable backends implement the same kernel surface:
+Two interchangeable backends implement the same kernel surface:
 
 ``pure``
     Per-row transliterations of the legacy loops; the bit-identity
-    oracle every other backend is tested against.
-``array``
-    Stdlib batch formulation (slices, ``Counter``, counting sort).
-    Always available; the default when numpy is absent.
+    oracle the numpy backend is tested against, and the default when
+    numpy is absent.
 ``numpy``
-    Vectorised formulation over zero-copy views of the columns.
+    Vectorised formulation over zero-copy views of the columns, for
+    the kernels where that beats ``pure`` at the call shapes the
+    callers make; the rest are the ``pure`` functions themselves.
     Optional — install with ``pip install .[numpy]``.
 
 Selection: the ``REPRO_KERNEL_BACKEND`` environment variable
-(``pure`` | ``array`` | ``numpy``), else ``numpy`` when importable,
-else ``array``.  Resolution is lazy and cached; tests flip backends
-with :func:`set_backend` / :func:`using_backend`.
+(``pure`` | ``numpy``), else ``numpy`` when importable, else ``pure``.
+Resolution is lazy and cached; a pin that names an unknown backend or
+one whose dependency is missing fails at resolution time.  Tests flip
+backends with :func:`set_backend` / :func:`using_backend`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 _MODULES = {
     "pure": "repro.kernels.pure",
-    "array": "repro.kernels.arraykernels",
     "numpy": "repro.kernels.numpykernels",
 }
 
@@ -45,8 +45,15 @@ def _numpy_usable() -> bool:
     return True
 
 
-def _resolve_default() -> str:
-    return "numpy" if _numpy_usable() else "array"
+def _check_loadable(name: str, label: str) -> None:
+    """Raise unless backend ``name`` is known and importable here."""
+    if name not in _MODULES:
+        raise ValueError(f"{label}: expected one of {sorted(_MODULES)}")
+    if name == "numpy" and not _numpy_usable():
+        raise ImportError(
+            f"{label}: numpy is not importable; install the [numpy] "
+            f"extra or pin {ENV_VAR}=pure"
+        )
 
 
 def backend_name() -> str:
@@ -55,14 +62,10 @@ def backend_name() -> str:
     if _active_name is None:
         requested = os.environ.get(ENV_VAR, "").strip().lower()
         if requested:
-            if requested not in _MODULES:
-                raise ValueError(
-                    f"{ENV_VAR}={requested!r}: expected one of "
-                    f"{sorted(_MODULES)}"
-                )
+            _check_loadable(requested, f"{ENV_VAR}={requested!r}")
             _active_name = requested
         else:
-            _active_name = _resolve_default()
+            _active_name = "numpy" if _numpy_usable() else "pure"
     return _active_name
 
 
@@ -75,12 +78,11 @@ def active():
 
 
 def set_backend(name: str) -> None:
-    """Force a backend by name (``pure`` | ``array`` | ``numpy``)."""
+    """Force a backend by name (``pure`` | ``numpy``)."""
     global _active_name, _active_module
-    if name not in _MODULES:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    _active_name = name
+    _check_loadable(name, f"kernel backend {name!r} (see {ENV_VAR})")
     _active_module = importlib.import_module(_MODULES[name])
+    _active_name = name
 
 
 @contextmanager
@@ -97,7 +99,4 @@ def using_backend(name: str):
 
 def available_backends() -> List[str]:
     """Backends importable in this environment, in preference order."""
-    names = ["pure", "array"]
-    if _numpy_usable():
-        names.append("numpy")
-    return names
+    return ["pure", "numpy"] if _numpy_usable() else ["pure"]

@@ -1,12 +1,19 @@
-"""Numpy batch backend: vectorised kernels over zero-copy column views.
+"""Numpy batch backend: vectorised kernels where they beat ``pure``.
 
 The columns ``ColumnarLog`` exposes are stdlib ``array`` objects, which
-support the buffer protocol — ``np.frombuffer`` wraps a window of them
-without copying.  Row-level work becomes whole-array arithmetic
-(``bincount`` folds, boolean masks); the remaining python loops run at
-the *distinct* level only, ordered by ``np.unique(..., return_index)``
-plus a stable argsort so every first-occurrence order the pure oracle
-guarantees is reproduced exactly.
+support the buffer protocol — ``np.frombuffer`` wraps them without
+copying.  Row-level work becomes whole-array arithmetic (``bincount``
+folds, boolean masks, fancy-index scatters); the first-occurrence
+orders the pure oracle guarantees are reproduced exactly.
+
+A kernel is vectorised here only if that beats :mod:`repro.kernels.pure`
+at the call shapes its callers make.  The per-metric-window stream
+kernels (``window_pass``, ``account_window``, ``max_index``), the
+per-period builds (``graph_batch``, ``csr_from_window``) and the cheap
+partition scans (``part_weights``, ``unassigned_list``) run on ranges
+of tens to a few thousand rows, where numpy's per-call set-up costs
+more than the pure loop saves; they are the ``pure`` functions
+themselves, as is the sequential ``hem_matching``.
 
 Optional backend — selected only when numpy is importable (see
 :mod:`repro.kernels.backend`).  Bit-identical to
@@ -20,25 +27,30 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.kernels.arraykernels import _from_row_counts
-from repro.kernels.pure import CONTRACT_CODE, hem_matching
+from repro.kernels.pure import (
+    account_window,
+    csr_from_window,
+    graph_batch,
+    hem_matching,
+    max_index,
+    part_weights,
+    unassigned_list,
+    window_pass,
+)
 from repro.kernels.pure import conn_matrix as _pure_conn_matrix
 from repro.kernels.pure import gain_vector as _pure_gain_vector
 from repro.kernels.pure import kl_proposals as _pure_kl_proposals
-from repro.kernels.types import PACK_MASK, PACK_SHIFT, StreamState, WindowBatch
+from repro.kernels.types import PACK_MASK, PACK_SHIFT
 
-#: kernels this backend claims a >=3x microloop speedup for
-#: (enforced by benchmarks/bench_kernels.py on medium-scale batches).
-#: The windowed stream kernels are deliberately absent: at the paper's
-#: ~100-row metric windows the per-call numpy overhead eats the
-#: vectorisation win, so their acceleration claim would be false —
-#: they stay bit-identical and roughly at parity instead.  So is
-#: ``boundary_list``: the pure scan early-exits per vertex, so its
-#: cost shrinks exactly when the boundary grows and the measured ratio
-#: swings between ~1x and ~3x with the partition's boundary fraction.
+#: kernels this backend claims a >=3x microloop speedup for (enforced
+#: by benchmarks/bench_kernels.py on medium-scale batches).  Never an
+#: alias of ``pure``.  ``boundary_list`` is not claimed: the pure scan
+#: early-exits per vertex, so its cost shrinks exactly when the
+#: boundary grows and the measured ratio swings between ~1x and ~3x
+#: with the partition's boundary fraction.
 ACCELERATED = frozenset({
-    "account_window", "static_cut_count", "max_index", "cut_value",
-    "conn_matrix", "gain_vector", "kl_proposals", "max_weighted_degree",
+    "static_cut_count", "cut_value", "conn_matrix", "gain_vector",
+    "kl_proposals", "max_weighted_degree",
 })
 
 __all__ = [
@@ -50,8 +62,6 @@ __all__ = [
 ]
 
 _I64 = np.dtype(np.int64)
-_F64 = np.dtype(np.float64)
-_I8 = np.dtype(np.int8)
 _I32 = np.dtype(np.int32)
 
 
@@ -69,210 +79,6 @@ def _whole(col, dtype):
         return np.frombuffer(col, dtype=dtype)
     except TypeError:
         return np.asarray(col, dtype=dtype)
-
-
-def _first_occurrence(values: np.ndarray):
-    """Distinct values of ``values`` in first-occurrence order.
-
-    Returns ``(distinct, first_pos)`` where ``first_pos`` is the index
-    of each distinct value's first appearance, both ordered by it.
-    """
-    uniq, idx = np.unique(values, return_index=True)
-    order = np.argsort(idx, kind="stable")
-    return uniq[order], idx[order]
-
-
-def max_index(src, dst, lo: int, hi: int) -> int:
-    if hi <= lo:
-        return -1
-    sl = _win(src, lo, hi, _I64)
-    dl = _win(dst, lo, hi, _I64)
-    m = sl.max()
-    md = dl.max()
-    return int(md if md > m else m)
-
-
-def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
-                state: StreamState) -> WindowBatch:
-    n = hi - lo
-    if n == 0:
-        return WindowBatch([], [], {}, {}, [], [])
-    sl = _win(src, lo, hi, _I64)
-    dl = _win(dst, lo, hi, _I64)
-
-    # distinct directed edges in first-occurrence order (the cumulative
-    # graph's adjacency insertion order depends on it)
-    packed = (sl << PACK_SHIFT) | dl
-    uniq, idx, counts = np.unique(packed, return_index=True,
-                                  return_counts=True)
-    order = np.argsort(idx, kind="stable")
-    edge_weights: Dict[int, int] = dict(
-        zip(uniq[order].tolist(), counts[order].tolist()))
-
-    # per-vertex activity increments (order-free: folded additively)
-    nonself = sl != dl
-    width = int(max(sl.max(), dl.max())) + 1
-    acts = np.bincount(sl, minlength=width)
-    actd = np.bincount(dl[nonself], minlength=width)
-    act = acts + actd
-    nz = np.flatnonzero(act)
-    vertex_weights: Dict[int, int] = dict(zip(nz.tolist(),
-                                              act[nz].tolist()))
-
-    edge_seen = state.edge_seen
-    fresh = [p for p in edge_weights if p not in edge_seen]
-    new_edges: List[int] = []
-    if fresh:
-        edge_seen.update(fresh)
-        new_edges = [p for p in fresh
-                     if (p >> PACK_SHIFT) != (p & PACK_MASK)]
-
-    # first-seen vertices: interleaved endpoint stream preserves the
-    # src-before-dst appearance order; interning is in first-appearance
-    # order, so dense index > stream max *is* the first-seen test
-    first_seen: List[Tuple[int, int, float]] = []
-    placement_groups: List[Tuple[int, int, Tuple[int, ...]]] = []
-    cur = state.max_vertex
-    contract_known = state.contract_known
-    inter = np.empty(2 * n, dtype=np.int64)
-    inter[0::2] = sl
-    inter[1::2] = dl
-    if width - 1 > cur:
-        tsl = _win(ts, lo, hi, _F64)
-        skl = _win(skind, lo, hi, _I8)
-        dkl = _win(dkind, lo, hi, _I8)
-        vs, pos = _first_occurrence(inter)
-        mask = vs > cur
-        vs = vs[mask]
-        pos = pos[mask]
-        # transaction buckets: change-point bounds, then bucket-of-row
-        # lookup for each (few) new vertices
-        txl = _win(tx, lo, hi, _I64)
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(txl[1:] != txl[:-1]) + 1, [n]))
-        rows = pos >> 1
-        buckets = np.searchsorted(bounds, rows, side="right") - 1
-        cur_b = -1
-        bucket_new: List[int] = []
-        for v, p, r, b in zip(vs.tolist(), pos.tolist(),
-                              rows.tolist(), buckets.tolist()):
-            if b != cur_b:
-                if bucket_new:
-                    placement_groups.append(
-                        (lo + int(bounds[cur_b]), lo + int(bounds[cur_b + 1]),
-                         tuple(bucket_new)))
-                    bucket_new = []
-                cur_b = b
-            kc = int(dkl[r]) if p & 1 else int(skl[r])
-            first_seen.append((v, kc, float(tsl[r])))
-            bucket_new.append(v)
-            if kc == CONTRACT_CODE:
-                contract_known.add(v)
-        if bucket_new:
-            placement_groups.append(
-                (lo + int(bounds[cur_b]), lo + int(bounds[cur_b + 1]),
-                 tuple(bucket_new)))
-        state.max_vertex = width - 1
-
-    # contract-kind upgrades, at the distinct level: first
-    # contract-code appearance per vertex, in appearance order
-    upgrades: List[int] = []
-    skl = _win(skind, lo, hi, _I8)
-    dkl = _win(dkind, lo, hi, _I8)
-    kint = np.empty(2 * n, dtype=np.int8)
-    kint[0::2] = skl
-    kint[1::2] = dkl
-    cmask = kint == CONTRACT_CODE
-    if cmask.any():
-        cand = inter[cmask]
-        cvs, _cpos = _first_occurrence(cand)
-        for v in cvs.tolist():
-            if v not in contract_known:
-                contract_known.add(v)
-                upgrades.append(v)
-
-    return WindowBatch(first_seen, upgrades, edge_weights, vertex_weights,
-                       new_edges, placement_groups)
-
-
-def graph_batch(ts, src, dst, skind, dkind, lo: int, hi: int):
-    if hi <= lo:
-        return [], [], {}, {}
-    n = hi - lo
-    sl = _win(src, lo, hi, _I64)
-    dl = _win(dst, lo, hi, _I64)
-    tsl = _win(ts, lo, hi, _F64)
-    skl = _win(skind, lo, hi, _I8)
-    dkl = _win(dkind, lo, hi, _I8)
-
-    packed = (sl << PACK_SHIFT) | dl
-    uniq, idx, counts = np.unique(packed, return_index=True,
-                                  return_counts=True)
-    order = np.argsort(idx, kind="stable")
-    edge_weights: Dict[int, int] = dict(
-        zip(uniq[order].tolist(), counts[order].tolist()))
-
-    nonself = sl != dl
-    width = int(max(sl.max(), dl.max())) + 1
-    act = (np.bincount(sl, minlength=width)
-           + np.bincount(dl[nonself], minlength=width))
-    nz = np.flatnonzero(act)
-    vertex_weights: Dict[int, int] = dict(zip(nz.tolist(),
-                                              act[nz].tolist()))
-
-    inter = np.empty(2 * n, dtype=np.int64)
-    inter[0::2] = sl
-    inter[1::2] = dl
-    kint = np.empty(2 * n, dtype=np.int8)
-    kint[0::2] = skl
-    kint[1::2] = dkl
-
-    vs, pos = _first_occurrence(inter)
-    first_pos: Dict[int, int] = dict(zip(vs.tolist(), pos.tolist()))
-    first_seen: List[Tuple[int, int, float]] = []
-    for v, p in zip(vs.tolist(), pos.tolist()):
-        r = p >> 1
-        kc = int(dkl[r]) if p & 1 else int(skl[r])
-        first_seen.append((v, kc, float(tsl[r])))
-
-    # upgrade iff the first contract-code appearance is strictly after
-    # the first appearance (first-seen-as-contract joins silently)
-    upgrades: List[int] = []
-    cmask = kint == CONTRACT_CODE
-    if cmask.any():
-        cvs, cpos = _first_occurrence(inter[cmask])
-        all_cpos = np.flatnonzero(cmask)
-        for v, ci in zip(cvs.tolist(), cpos.tolist()):
-            if int(all_cpos[ci]) > first_pos[v]:
-                upgrades.append(v)
-    return first_seen, upgrades, edge_weights, vertex_weights
-
-
-def account_window(src, dst, lo: int, hi: int, new_edges, shard,
-                   k: int) -> Tuple[int, int, List[int], List[int], int]:
-    n = hi - lo
-    if n == 0:
-        return 0, 0, [0] * k, [0] * k, 0
-    sl = _win(src, lo, hi, _I64)
-    dl = _win(dst, lo, hi, _I64)
-    sh = _whole(shard, _I32)
-    a = sh[sl]
-    b = sh[dl]
-    nonself = sl != dl
-    wtotal = int(nonself.sum())
-    wdelta = np.bincount(a, minlength=k) + np.bincount(b[nonself],
-                                                       minlength=k)
-    cut = nonself & (a != b)
-    same = nonself & ~cut
-    wcut = int(cut.sum())
-    load = (np.bincount(a[cut], minlength=k)
-            + np.bincount(b[cut], minlength=k)
-            + 2 * np.bincount(a[same], minlength=k))
-    sdelta = 0
-    if new_edges:
-        ne = np.asarray(new_edges, dtype=np.int64)
-        sdelta = int((sh[ne >> PACK_SHIFT] != sh[ne & PACK_MASK]).sum())
-    return wcut, wtotal, load.tolist(), wdelta.tolist(), sdelta
 
 
 def static_cut_count(esrc, edst, shard) -> int:
@@ -364,19 +170,6 @@ class CSRAccumulator:
         return xadj, adjncy, adjwgt, vwgt, n
 
 
-def csr_from_window(src, dst, lo: int, hi: int, vertex_weights: str):
-    if hi <= lo:
-        return [0], [], [], [], []
-    sl = _win(src, lo, hi, _I64)
-    dl = _win(dst, lo, hi, _I64)
-    packed = (sl << PACK_SHIFT) | dl
-    uniq, idx, counts = np.unique(packed, return_index=True,
-                                  return_counts=True)
-    order = np.argsort(idx, kind="stable")
-    rowc = dict(zip(uniq[order].tolist(), counts[order].tolist()))
-    return _from_row_counts(rowc, vertex_weights)
-
-
 # ----------------------------------------------------------------------
 # partition refinement primitives over cached CSR views
 
@@ -399,22 +192,12 @@ def _np_csr(graph):
     return views
 
 
-def part_weights(graph, part, k: int,
-                 skip_unassigned: bool = False) -> List[int]:
-    _xa, _ad, _aw, vw, _vid = _np_csr(graph)
-    p = np.asarray(part, dtype=np.int64)
-    if skip_unassigned:
-        mask = p >= 0
-        return np.bincount(p[mask], weights=vw[mask],
-                           minlength=k).astype(np.int64).tolist()
-    return np.bincount(p, weights=vw, minlength=k).astype(np.int64).tolist()
-
-
 def boundary_list(graph, part) -> List[int]:
     _xa, ad, _aw, _vw, vid = _np_csr(graph)
     p = np.asarray(part, dtype=np.int64)
-    cross = p[ad] != p[vid]
-    return np.unique(vid[cross]).tolist()
+    hits = vid[p[ad] != p[vid]]
+    # vid ascends, so each vertex's hits are contiguous: keep the first
+    return hits[np.diff(hits, prepend=-1) != 0].tolist()
 
 
 def cut_value(graph, part) -> int:
@@ -422,11 +205,6 @@ def cut_value(graph, part) -> int:
     p = np.asarray(part, dtype=np.int64)
     cross = p[ad] != p[vid]
     return int(aw[cross].sum()) // 2
-
-
-def unassigned_list(part) -> List[int]:
-    p = np.asarray(part, dtype=np.int64)
-    return np.flatnonzero(p < 0).tolist()
 
 
 #: below this many subject vertices the numpy set-up cost exceeds the

@@ -1,13 +1,17 @@
 """Property tests: every kernel backend is bit-identical to ``pure``.
 
 The pure-python backend is the oracle — a straight transliteration of
-the per-row loops the kernels replaced.  The array and numpy backends
-must reproduce its outputs *exactly*, including dict key order where
+the per-row loops the kernels replaced.  The numpy backend must
+reproduce its outputs *exactly*, including dict key order where
 the contract guarantees one (edge first-occurrence order feeds the
 cumulative graph's adjacency insertion order, which cold METIS results
 depend on).  Logs are arbitrary: self-loops, repeated edges, contract
 upgrades, empty windows and single-vertex (pure self-loop) streams all
 appear in the strategy.
+
+Kernels the numpy backend takes from ``pure`` unchanged (see
+``test_backend.py``) keep their ``[numpy]`` cases: trivially true
+today, they hold any future vectorised form to the contract.
 """
 
 import random
@@ -68,8 +72,8 @@ def _splits(log, cuts):
 
 
 def _batch_tuple(batch):
-    # vertex_weights order is NOT part of the contract (numpy emits it
-    # ascending); everything else is compared order-sensitively
+    # vertex_weights order is NOT part of the contract (consumers look
+    # weights up by key); everything else is compared order-sensitively
     return (
         batch.first_seen,
         batch.upgrades,

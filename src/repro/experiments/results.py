@@ -123,9 +123,28 @@ class CellResult:
             "series": {
                 "method": self.series.method,
                 "k": self.series.k,
-                "points": [dataclasses.asdict(p) for p in self.series.points],
+                "points": [
+                    {
+                        "ts": p.ts,
+                        "static_edge_cut": p.static_edge_cut,
+                        "dynamic_edge_cut": p.dynamic_edge_cut,
+                        "static_balance": p.static_balance,
+                        "dynamic_balance": p.dynamic_balance,
+                        "cumulative_moves": p.cumulative_moves,
+                        "interactions": p.interactions,
+                    }
+                    for p in self.series.points
+                ],
             },
-            "events": [dataclasses.asdict(e) for e in self.events],
+            "events": [
+                {
+                    "ts": e.ts,
+                    "moves": e.moves,
+                    "reassigned": e.reassigned,
+                    "reason": e.reason,
+                }
+                for e in self.events
+            ],
             # JSON object keys are strings; store as pairs to keep ints
             "assignment": [[v, s] for v, s in sorted(self.assignment.items())],
             "shard_weights": list(self.shard_weights),

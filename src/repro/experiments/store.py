@@ -10,12 +10,16 @@ The filename embeds a short hash of the cell's canonical label, so
 parameterised method variants that sanitize to the same prefix can
 never collide.  Files are written atomically (tmp + rename): a sweep
 killed mid-write never leaves a half cell behind, and a cell file
-either loads cleanly or is treated as absent and recomputed.
+either loads cleanly or is treated as absent and recomputed.  Each
+save writes its own temp file (``<cell>.json.<pid>-<n>.tmp``, never
+matching ``*.json``), so concurrent writers of one cell cannot rename
+each other's temp file away; the last rename wins.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -26,6 +30,9 @@ from repro.experiments.results import CellResult
 from repro.experiments.spec import CellKey, ExperimentSpec
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: per-process save counter: with the pid, a temp name unique per save
+_SAVES = itertools.count()
 
 
 class ResultStore:
@@ -72,7 +79,7 @@ class ResultStore:
     def save(self, spec: ExperimentSpec, cell: CellResult) -> pathlib.Path:
         path = self.cell_path(spec, cell.key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_SAVES)}.tmp")
         tmp.write_text(json.dumps(cell.to_dict()), encoding="utf-8")
         os.replace(tmp, path)
         return path

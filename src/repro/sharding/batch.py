@@ -3,8 +3,18 @@
 Both :class:`ShardedExecution` entry points run here (``replay`` interns
 an ``Interaction`` list and delegates to ``replay_columnar``).  The
 engine replays the cost model directly off ``ColumnarLog``'s dense
-columns with a flat tuple heap and array-backed shard state: no
-``Interaction`` boxing, no per-job closure allocation.
+columns: one event loop, with no closures, serves both modes over a
+flat ``(time, seq, shard, state)`` tuple heap (shard ``-1`` marks a
+vote/commit event) and list-backed shard state.  Only the arrival step
+branches on the mode; the event pop, the finish handler and the
+vote/commit handler are shared.
+
+Grouping rows into transactions (:func:`extract_transactions`) depends
+on the log window alone, not on the assignment or the cost model, so a
+caller replaying many assignments over one window groups once and
+passes the :class:`TransactionGroups` to every replay:
+:func:`repro.experiments.execution.attach_execution` does this once per
+call, i.e. once per sweep (once per chunk in a parallel sweep).
 
 It must stay bit-identical to the closure-based simulator it replaced
 (one ``Simulator`` callback per arrival, one ``Shard`` closure per
@@ -13,14 +23,14 @@ phase job), which the tests keep as an oracle
 with ``==``.  Equivalence hinges on three invariants:
 
 * **Event order.**  Events are ordered by ``(time, seq)`` with ``seq``
-  assigned at schedule time, and all n arrivals precede every runtime
-  event in ``seq`` (the oracle pre-schedules them as seqs ``0..n-1``),
-  so arrivals win every time tie.  Here arrivals are a sorted cursor,
-  popped while ``(t_arrival, i) < (heap[0].time, heap[0].seq)``, and the
-  runtime ``seq`` counter starts at ``n``.
-* **Shard semantics.**  A finishing job accrues busy time, runs its
-  completion step (which may enqueue more work, including on the same
-  shard), *then* the shard starts its next queued job.
+  assigned at schedule time.  The oracle pre-schedules the n arrivals
+  as seqs ``0..n-1``, so every runtime seq is ``>= n`` and an arrival
+  wins every time tie.  Here arrivals are a cursor over transactions
+  sorted by ``(time, index)``, taken while ``t_arrival <= heap[0].time``,
+  and the runtime ``seq`` counter starts at ``n``.
+* **Shard semantics.**  A finishing job runs its completion step
+  (which may enqueue more work, including on the same shard), *then*
+  the shard starts its next queued job.
 * **Float order.**  Every arithmetic expression (``now + service``,
   ``now + rtt``, ``now - arrived_at``, warmup slicing) evaluates in the
   same order on the same values, so reports compare equal with ``==``.
@@ -28,17 +38,12 @@ with ``==``.  Equivalence hinges on three invariants:
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationClockError, UnassignedVertexError
 from repro.sharding.throughput import LatencyStats, ThroughputReport
-
-# heap event kinds; payload is a shard id (_FINISH) or a tx state (_COMMITS)
-_FINISH = 0
-_COMMITS = 1
 
 # tx phases (list layout: [pending, phase, arrived_at, shards])
 _PH_PREPARE = 0
@@ -46,16 +51,28 @@ _PH_COMMIT = 1
 _PH_MIGRATE = 2
 
 
-def extract_transactions(
-    log: Any, lo: int, hi: int
-) -> Tuple[List[float], List[Tuple[int, ...]]]:
+class TransactionGroups(NamedTuple):
+    """Rows ``[lo, hi)`` of ``log`` grouped into transactions.
+
+    ``times`` and ``endpoints`` are parallel per-transaction lists:
+    first-row timestamp and deduplicated endpoint tuple (dense indices,
+    first-occurrence order — the order ``dict.fromkeys(src0, dst0,
+    src1, dst1, ...)`` yields in the oracle).  Read-only: replays share
+    one instance.
+    """
+
+    log: Any
+    lo: int
+    hi: int
+    times: List[float]
+    endpoints: List[Tuple[int, ...]]
+
+
+def extract_transactions(log: Any, lo: int, hi: int) -> TransactionGroups:
     """Group rows ``[lo, hi)`` into transactions off the dense columns.
 
-    Returns parallel lists: first-row timestamp and deduplicated
-    endpoint tuple (dense indices, first-occurrence order — the same
-    order ``dict.fromkeys(src0, dst0, src1, dst1, ...)`` yields in the
-    oracle) per transaction.  Contiguity of tx_id rows is assumed,
-    exactly as :func:`repro.graph.builder.group_by_transaction` does.
+    Contiguity of tx_id rows is assumed, exactly as
+    :func:`repro.graph.builder.group_by_transaction` does.
     """
     ts_col = log.timestamps()
     src = log.src_indices()
@@ -83,18 +100,17 @@ def extract_transactions(
         times.append(ts_col[a])
         endpoints.append(eps)
         a = b
-    return times, endpoints
+    return TransactionGroups(log, lo, hi, times, endpoints)
 
 
 def run_columnar(
     ex: Any,
-    log: Any,
-    lo: int,
-    hi: int,
+    groups: TransactionGroups,
     time_scale: float,
     arrival_rate: Optional[float],
 ) -> ThroughputReport:
-    """Replay ``log[lo:hi]`` through ``ex`` (a ``ShardedExecution``).
+    """Replay the transactions of ``groups`` through ``ex`` (a
+    ``ShardedExecution``).
 
     Reads ``ex``'s config, assignment, state and ``strict`` flag; in
     migrate mode, moves are written back to ``ex.assignment``.  The
@@ -102,34 +118,38 @@ def run_columnar(
     """
     cfg = ex.config
     migrate = cfg.mode == "migrate"
-    raw_ids = log.vertex_ids()
+    raw_ids = groups.log.vertex_ids()
     assignment = ex.assignment
-    shard_of = array("q", (assignment.get(raw, -1) for raw in raw_ids))
+    shard_of = [assignment.get(raw, -1) for raw in raw_ids]
 
-    arr_time, arr_eps = extract_transactions(log, lo, hi)
+    arr_time = groups.times
+    arr_eps = groups.endpoints
     n = len(arr_time)
-
     if time_scale > 0:
         base = arr_time[0] if arr_time else 0.0
         arr_time = [(t - base) * time_scale for t in arr_time]
         for t in arr_time:
             if t < 0:
                 raise SimulationClockError(f"cannot schedule at {t} < now 0.0")
-        order = sorted(range(n), key=lambda i: (arr_time[i], i))
+        # a stable sort on time keeps ties in index order: (time, index)
+        order = sorted(range(n), key=arr_time.__getitem__)
+        arr_time = [arr_time[i] for i in order]
+        arr_eps = [arr_eps[i] for i in order]
     else:
         if arrival_rate is None:
             arrival_rate = 0.8 * ex.k / cfg.service_time
         gap = 1.0 / arrival_rate
         arr_time = [i * gap for i in range(n)]
-        order = list(range(n))
 
     # ---- engine state ------------------------------------------------
     k = ex.k
     heap: List[Tuple[float, int, int, Any]] = []
     seq = n  # arrivals own seqs 0..n-1, exactly as pre-scheduled events
-    busy = bytearray(k)
+    busy = [False] * k
     queues = [deque() for _ in range(k)]
-    current: List[Any] = [None] * k
+    # a shard runs its jobs one at a time, and every started job finishes
+    # before the heap drains, so charging a job's time when it starts
+    # sums the same values in the same order as charging it on finish
     busy_time = [0.0] * k
 
     latencies: List[float] = []
@@ -148,144 +168,160 @@ def run_columnar(
     world_state = ex.state
     strict = ex.strict
 
-    def submit(s: int, service: float, state: list) -> None:
-        # queue behind the running job, or start at once on an idle shard
-        nonlocal seq
-        if busy[s]:
-            queues[s].append((service, state))
-        else:
-            busy[s] = 1
-            current[s] = (service, state)
-            heappush(heap, (now + service, seq, _FINISH, s))
-            seq += 1
-
-    def phase_done(state: list) -> None:
-        nonlocal seq, completed
-        state[0] -= 1
-        if state[0] > 0:
-            return
-        phase = state[1]
-        if phase == _PH_PREPARE:
-            state[1] = _PH_COMMIT
-            state[0] = len(state[3])
-            heappush(heap, (now + network_rtt, seq, _COMMITS, state))
-            seq += 1
-        elif phase == _PH_MIGRATE:
-            state[1] = _PH_COMMIT
-            state[0] = 1
-            submit(state[3][0], service_time, state)
-        else:
-            completed += 1
-            latencies.append(now - state[2])
-
-    def migration_time(dense: int) -> float:
-        nonlocal migration_bytes
-        if world_state is not None:
-            acct = world_state.get_optional(raw_ids[dense])
-            if acct is not None:
-                size = acct.state_bytes()
-                migration_bytes += size
-                return size / cfg.migration_bandwidth
-        return cfg.migration_time_fixed
-
-    def note_unassigned(dense: int) -> None:
-        nonlocal unassigned
-        if strict:
-            raise UnassignedVertexError(raw_ids[dense])
-        unassigned += 1
-
-    def dispatch(i: int) -> None:
-        nonlocal single_shard, multi_shard, migrations
-        eps = arr_eps[i]
-        if migrate:
-            placed = []
-            for v in eps:
-                if shard_of[v] >= 0:
-                    placed.append(v)
-                else:
-                    note_unassigned(v)
-            if not placed:
-                return
-            shards = tuple(sorted({shard_of[v] for v in placed}))
-            if len(shards) == 1:
-                single_shard += 1
-                state = [1, _PH_COMMIT, now, shards]
-                submit(shards[0], service_time, state)
-                return
-            multi_shard += 1
-            votes = {}
-            for v in placed:
-                s = shard_of[v]
-                votes[s] = votes.get(s, 0) + 1
-            target = min(votes, key=lambda s: (-votes[s], s))
-            jobs: List[Tuple[int, float]] = []
-            for v in placed:
-                s = shard_of[v]
-                if s == target:
-                    continue
-                seconds = migration_time(v)
-                jobs.append((s, seconds))       # serialize at source
-                jobs.append((target, seconds))  # apply at target
-                shard_of[v] = target            # sticky move
-                assignment[raw_ids[v]] = target
-                migrations += 1
-            state = [len(jobs), _PH_MIGRATE, now, (target,)]
-            for s, seconds in jobs:
-                submit(s, seconds, state)
-            return
-        # 2pc: the distinct shards hosting the endpoints, sorted
-        sset = set()
-        for v in eps:
-            s = shard_of[v]
-            if s >= 0:
-                sset.add(s)
-            else:
-                note_unassigned(v)
-        shards = tuple(sorted(sset))
-        if not shards:
-            return
-        if len(shards) == 1:
-            single_shard += 1
-            state = [1, _PH_COMMIT, now, shards]
-            submit(shards[0], service_time, state)
-            return
-        multi_shard += 1
-        state = [len(shards), _PH_PREPARE, now, shards]
-        for s in shards:
-            submit(s, prepare_time, state)
-
     # ---- event loop --------------------------------------------------
+    # An arrival or a vote/commit event leaves the jobs it submits for
+    # ``state`` as ``targets`` (shards) and ``service`` (their time) to
+    # the submit step at the bottom.  A finished job is handled whole in
+    # its own branch: its shard starts the next queued job only after
+    # the completion step has submitted its own work.
     ai = 0
     while True:
-        if ai < n:
-            i = order[ai]
-            t_arr = arr_time[i]
-            if not heap or (t_arr, i) < (heap[0][0], heap[0][1]):
-                now = t_arr
-                ai += 1
-                dispatch(i)
-                continue
-        if not heap:
-            break
-        t, _sq, kind, payload = heappop(heap)
-        now = t
-        if kind == _FINISH:
-            s = payload
-            service, state = current[s]
-            busy_time[s] += service
-            phase_done(state)
-            q = queues[s]
-            if q:
-                service, state = q.popleft()
-                current[s] = (service, state)
-                heappush(heap, (now + service, seq, _FINISH, s))
-                seq += 1
+        if ai < n and (not heap or arr_time[ai] <= heap[0][0]):
+            # arrival: ``<=`` is exact (t_arr, i) < (time, seq) order,
+            # as arrivals own seqs 0..n-1 and every runtime seq is >= n
+            now = arr_time[ai]
+            eps = arr_eps[ai]
+            ai += 1
+            if migrate:
+                placed = []
+                votes = {}
+                for v in eps:
+                    home = shard_of[v]
+                    if home >= 0:
+                        placed.append(v)
+                        votes[home] = votes.get(home, 0) + 1
+                    elif strict:
+                        raise UnassignedVertexError(raw_ids[v])
+                    else:
+                        unassigned += 1
+                if not placed:
+                    continue
+                if len(votes) == 1:
+                    single_shard += 1
+                    state = [1, _PH_COMMIT, now, tuple(votes)]
+                    targets = state[3]
+                    service = service_time
+                else:
+                    multi_shard += 1
+                    # most endpoints wins; ties go to the lowest shard id
+                    target = -1
+                    most = 0
+                    for home, c in votes.items():
+                        if c > most or (c == most and home < target):
+                            target = home
+                            most = c
+                    jobs = []
+                    for v in placed:
+                        home = shard_of[v]
+                        if home == target:
+                            continue
+                        seconds = cfg.migration_time_fixed
+                        if world_state is not None:
+                            acct = world_state.get_optional(raw_ids[v])
+                            if acct is not None:
+                                size = acct.state_bytes()
+                                migration_bytes += size
+                                seconds = size / cfg.migration_bandwidth
+                        jobs.append((home, seconds))    # serialize at source
+                        jobs.append((target, seconds))  # apply at target
+                        shard_of[v] = target            # sticky move
+                        assignment[raw_ids[v]] = target
+                        migrations += 1
+                    state = [len(jobs), _PH_MIGRATE, now, (target,)]
+                    # move times differ per vertex: submit each job here
+                    targets = ()
+                    for j, service in jobs:
+                        if busy[j]:
+                            queues[j].append((service, state))
+                        else:
+                            busy[j] = True
+                            busy_time[j] += service
+                            heappush(heap, (now + service, seq, j, state))
+                            seq += 1
             else:
-                busy[s] = 0
-                current[s] = None
-        else:  # _COMMITS: votes arrived, commit on every involved shard
-            for s in payload[3]:
-                submit(s, commit_time, payload)
+                # 2pc: the distinct shards hosting the endpoints, sorted;
+                # one or two assigned endpoints need no set or sort
+                shards = None
+                if len(eps) <= 2:
+                    a = shard_of[eps[0]]
+                    b = shard_of[eps[-1]]
+                    if a >= 0 and b >= 0:
+                        if a == b:
+                            shards = (a,)
+                        else:
+                            shards = (a, b) if a < b else (b, a)
+                if shards is None:
+                    sset = set()
+                    for v in eps:
+                        home = shard_of[v]
+                        if home >= 0:
+                            sset.add(home)
+                        elif strict:
+                            raise UnassignedVertexError(raw_ids[v])
+                        else:
+                            unassigned += 1
+                    if not sset:
+                        continue
+                    shards = tuple(sorted(sset))
+                if len(shards) == 1:
+                    single_shard += 1
+                    state = [1, _PH_COMMIT, now, shards]
+                    service = service_time
+                else:
+                    multi_shard += 1
+                    state = [len(shards), _PH_PREPARE, now, shards]
+                    service = prepare_time
+                targets = shards
+        elif heap:
+            now, _, s, state = heappop(heap)
+            if s < 0:
+                # votes arrived: commit on every involved shard
+                targets = state[3]
+                service = commit_time
+            else:  # a job finished on shard s
+                pending = state[0]
+                if pending > 1:
+                    state[0] = pending - 1
+                elif state[1] == _PH_COMMIT:
+                    completed += 1
+                    latencies.append(now - state[2])
+                elif state[1] == _PH_PREPARE:
+                    state[1] = _PH_COMMIT
+                    state[0] = len(state[3])
+                    heappush(heap, (now + network_rtt, seq, -1, state))
+                    seq += 1
+                else:  # _PH_MIGRATE: moves applied, execute on target
+                    state[1] = _PH_COMMIT
+                    state[0] = 1
+                    j = state[3][0]
+                    if busy[j]:
+                        queues[j].append((service_time, state))
+                    else:
+                        busy[j] = True
+                        busy_time[j] += service_time
+                        heappush(heap, (now + service_time, seq, j, state))
+                        seq += 1
+                q = queues[s]  # start the next queued job
+                if q:
+                    service, state = q.popleft()
+                    busy_time[s] += service
+                    heappush(heap, (now + service, seq, s, state))
+                    seq += 1
+                else:
+                    busy[s] = False
+                continue
+        else:
+            break
+
+        # submit: queue behind the running job, or start on an idle shard
+        for j in targets:
+            if busy[j]:
+                queues[j].append((service, state))
+            else:
+                busy[j] = True
+                busy_time[j] += service
+                heappush(heap, (now + service, seq, j, state))
+                seq += 1
 
     # ---- report: the clock stops at the last event ----------------
     elapsed = now

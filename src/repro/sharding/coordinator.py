@@ -31,7 +31,11 @@ from typing import Iterable, Mapping, Optional
 
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog, as_columnar
-from repro.sharding.batch import run_columnar
+from repro.sharding.batch import (
+    TransactionGroups,
+    extract_transactions,
+    run_columnar,
+)
 from repro.sharding.throughput import ThroughputReport
 
 
@@ -128,6 +132,8 @@ class ShardedExecution:
         hi: Optional[int] = None,
         time_scale: float = 0.0,
         arrival_rate: Optional[float] = None,
+        *,
+        groups: Optional[TransactionGroups] = None,
     ) -> ThroughputReport:
         """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog`.
 
@@ -137,6 +143,11 @@ class ShardedExecution:
         transactions/second (deterministically spaced; rate defaults to
         80% of the single-shard capacity k/service).  Each call reports
         only its own rows.
+
+        ``groups`` — :func:`~repro.sharding.batch.extract_transactions`
+        of this very ``(log, lo, hi)`` — skips re-grouping the rows when
+        one window replays under many assignments; groups of another
+        log or window raise ``ValueError``.
         """
         if hi is None:
             hi = len(log)
@@ -148,4 +159,11 @@ class ShardedExecution:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         if arrival_rate is not None and not arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        return run_columnar(self, log, lo, hi, time_scale, arrival_rate)
+        if groups is None:
+            groups = extract_transactions(log, lo, hi)
+        elif groups.log is not log or (groups.lo, groups.hi) != (lo, hi):
+            raise ValueError(
+                f"transaction groups of rows [{groups.lo}, {groups.hi}) of "
+                f"another log or window cannot replay rows [{lo}, {hi})"
+            )
+        return run_columnar(self, groups, time_scale, arrival_rate)

@@ -36,7 +36,13 @@ class LatencyStats:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "median": self.median,
+            "p99": self.p99,
+            "maximum": self.maximum,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "LatencyStats":

@@ -181,6 +181,47 @@ class TestExecutionEnabledRuns:
         assert second == first
         assert outcomes == ["loaded"] * len(exec_spec.cells())
 
+    def test_transactions_grouped_once_per_sweep(self, exec_spec, exec_rs,
+                                                 tiny_workload, monkeypatch):
+        import repro.experiments.execution as execution
+
+        calls = []
+        real = execution.extract_transactions
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(execution, "extract_transactions", spy)
+        assert len(exec_spec.cells()) == 4
+        assert run_experiment(exec_spec, workload=tiny_workload) == exec_rs
+        assert len(calls) == 1
+
+    def test_transactions_grouped_once_per_chunk(self, exec_spec, exec_rs,
+                                                 tiny_workload, tmp_path,
+                                                 monkeypatch):
+        """Pool workers inherit the spy through fork and log each call
+        to a file, as their own counts never return to this process."""
+        import repro.experiments.execution as execution
+        import repro.experiments.parallel as parallel
+
+        if parallel._start_method() != "fork":
+            pytest.skip("workers inherit the spy only when forked")
+        calls = tmp_path / "calls"
+        real = execution.extract_transactions
+
+        def spy(*args):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write("call\n")
+            return real(*args)
+
+        monkeypatch.setattr(execution, "extract_transactions", spy)
+        chunks = parallel.partition_cells(list(exec_spec.cells()), 2)
+        assert len(chunks) == 2
+        par = run_experiment(exec_spec, jobs=2, workload=tiny_workload)
+        assert par == exec_rs
+        assert calls.read_text(encoding="utf-8").count("call") == len(chunks)
+
     def test_store_keeps_plain_and_execution_cells_apart(
             self, exec_spec, tiny_workload, tmp_path):
         store = ResultStore(tmp_path / "results")

@@ -1,9 +1,11 @@
 """CellResult / ResultSet: serialization round-trips and accessors."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core.base import RepartitionEvent
 from repro.experiments import (
     CellKey,
     ExperimentSpec,
@@ -11,6 +13,8 @@ from repro.experiments import (
     ResultSet,
     run_experiment,
 )
+from repro.metrics.series import MetricPoint
+from repro.sharding.throughput import LatencyStats, ThroughputReport
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +101,47 @@ class TestAccessors:
         merged = partial.merged_with(rs)
         assert len(merged) == len(rs)
         assert merged == rs
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+class TestFieldByFieldSerialization:
+    """``to_dict`` writes each dataclass out field by field: a field
+    added to one of them must appear in the JSON, in declaration order,
+    and the bytes must stay those ``dataclasses.asdict`` produced."""
+
+    @pytest.fixture(scope="class")
+    def cell(self, rs):
+        cell = dataclasses.replace(rs.get("metis", 2))
+        cell.execution = ThroughputReport(
+            k=2, completed=3, single_shard=2, multi_shard=1, elapsed=0.5,
+            throughput=6.0, latency=LatencyStats.from_samples([0.1, 0.2, 0.4]),
+            utilization=(0.25, 0.75), migrations=1, migration_bytes=64,
+            unassigned_endpoints=0,
+        )
+        assert cell.series.points and cell.events
+        return cell
+
+    def test_metric_point_keys(self, cell):
+        for point in cell.to_dict()["series"]["points"]:
+            assert list(point) == field_names(MetricPoint)
+
+    def test_repartition_event_keys(self, cell):
+        for event in cell.to_dict()["events"]:
+            assert list(event) == field_names(RepartitionEvent)
+
+    def test_execution_keys(self, cell):
+        execution = cell.to_dict()["execution"]
+        assert list(execution) == field_names(ThroughputReport)
+        assert list(execution["latency"]) == field_names(LatencyStats)
+
+    def test_bytes_match_asdict(self, cell):
+        data = cell.to_dict()
+        assert json.dumps(data["series"]["points"]) == json.dumps(
+            [dataclasses.asdict(p) for p in cell.series.points])
+        assert json.dumps(data["events"]) == json.dumps(
+            [dataclasses.asdict(e) for e in cell.events])
+        assert json.dumps(data["execution"]["latency"]) == json.dumps(
+            dataclasses.asdict(cell.execution.latency))

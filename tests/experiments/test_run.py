@@ -200,6 +200,32 @@ class TestResume:
         )
         assert store.load(paper_spec, a) is None
 
+    def test_concurrent_saves_of_one_cell_both_succeed(
+            self, paper_spec, paper_rs, tmp_path, monkeypatch):
+        """A second writer saving the same cell between the first
+        writer's write and its rename must not pull the first writer's
+        temp file away (a shared ``<cell>.json.tmp`` did)."""
+        import os
+
+        import repro.experiments.store as store_mod
+
+        store = ResultStore(tmp_path / "results")
+        cell = paper_rs.cell(paper_spec.cells()[0])
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                store.save(paper_spec, cell)  # the second writer
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        path = store.save(paper_spec, cell)
+        assert interleaved
+        assert store.load(paper_spec, cell.key) == cell
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
 
 class TestCustomMethodsInPools:
     def test_runtime_registrations_run_inline_without_fork(self, tiny_workload, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import UnassignedVertexError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
+from repro.sharding.batch import extract_transactions
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 from closure_oracle import ClosureExecution
@@ -50,8 +51,28 @@ def full_assignment(k, n_vertices=40):
     return {RAW_BASE + v: v % k for v in range(n_vertices)}
 
 
+def make_tie_stream(n_tx=120, n_vertices=40, seed=3):
+    """Integer timestamps, often repeated, so arrival times tie with
+    each other and with runtime events."""
+    rng = random.Random(seed)
+    out = []
+    ts = 0.0
+    for i in range(n_tx):
+        ts += rng.choice((0, 0, 1, 2))
+        for _ in range(rng.randint(1, 4)):
+            out.append(Interaction(
+                timestamp=ts,
+                src=RAW_BASE + rng.randrange(n_vertices),
+                dst=RAW_BASE + rng.randrange(n_vertices),
+                tx_id=i,
+            ))
+    return out
+
+
 STREAM = make_stream()
 LOG = ColumnarLog.from_interactions(STREAM)
+TIES = make_tie_stream()
+TIES_LOG = ColumnarLog.from_interactions(TIES)
 
 
 class TestDriverEquivalence:
@@ -108,6 +129,36 @@ class TestDriverEquivalence:
         assert ShardedExecution(2, {}, CFG_2PC).replay([]) == cols
         assert cols.completed == 0
         assert cols.throughput == 0.0
+
+    # Dyadic costs and integer timestamps make event times exact in
+    # binary floating point, so arrivals, finishes and vote deliveries
+    # tie often; rates 2 and 4 space arrivals by service multiples.
+    # This pins the engine's tie rule (an arrival is taken while its
+    # time is <= the heap's earliest) against the oracle's (time, seq).
+    @pytest.mark.parametrize("mode", ["2pc", "migrate"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("warmup", [0.0, 0.25])
+    def test_exact_time_ties_bit_identical(self, mode, k, warmup):
+        cfg = ShardedExecutionConfig(
+            service_time=0.5, prepare_time=0.25, commit_time=0.125,
+            network_rtt=1.0, migration_time_fixed=0.25,
+            warmup_fraction=warmup, mode=mode,
+        )
+        full = full_assignment(k)
+        partial = {v: s for v, s in full.items() if v % 7}
+        arrivals = [
+            {"arrival_rate": 2.0}, {"arrival_rate": 4.0},
+            {"time_scale": 1.0}, {"time_scale": 0.5}, {"time_scale": 0.25},
+            {},
+        ]
+        for asg in (full, partial):
+            for kwargs in arrivals:
+                oracle = ClosureExecution(k, asg, cfg).replay(TIES, **kwargs)
+                cols = ShardedExecution(
+                    k, asg, cfg, strict=False
+                ).replay_columnar(TIES_LOG, **kwargs)
+                assert oracle == cols, (len(asg), kwargs)
+                assert (cols.unassigned_endpoints > 0) == (asg is partial)
 
 
 class TestRepeatRunDeterminism:
@@ -264,6 +315,32 @@ class TestValidation:
         ex = ShardedExecution(2, full_assignment(2), CFG_2PC)
         with pytest.raises(ValueError, match="invalid row window"):
             ex.replay_columnar(LOG, lo=10, hi=5)
+
+    @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
+    def test_shared_groups_replay_like_fresh_ones(self, cfg):
+        groups = extract_transactions(LOG, 10, 137)
+        shared = [
+            ShardedExecution(k, full_assignment(k), cfg).replay_columnar(
+                LOG, 10, 137, arrival_rate=150.0, groups=groups)
+            for k in (2, 3)
+        ]
+        fresh = [
+            ShardedExecution(k, full_assignment(k), cfg).replay_columnar(
+                LOG, 10, 137, arrival_rate=150.0)
+            for k in (2, 3)
+        ]
+        assert shared == fresh
+
+    @pytest.mark.parametrize("log,lo,hi", [
+        (LOG, 10, 136),                                  # another window
+        (LOG, 0, len(LOG)),
+        (ColumnarLog.from_interactions(STREAM), 10, 137),  # equal, not same
+    ])
+    def test_groups_of_another_log_or_window_rejected(self, log, lo, hi):
+        groups = extract_transactions(LOG, 10, 137)
+        ex = ShardedExecution(2, full_assignment(2), CFG_2PC)
+        with pytest.raises(ValueError, match="another log or window"):
+            ex.replay_columnar(log, lo, hi, groups=groups)
 
     @pytest.mark.parametrize("kwargs,needle", [
         ({"service_time": 0.0}, "service_time must be > 0, got 0.0"),

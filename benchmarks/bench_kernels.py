@@ -126,7 +126,7 @@ def _micro_loops(clog: ColumnarLog):
         state = StreamState()
         window_new_edges = []
         for lo, hi in windows:
-            batch = kp.window_pass(ts, src, dst, tx, sk, dk, lo, hi, state)
+            batch = kp.window_pass(src, dst, tx, lo, hi, state)
             state.record_new_edges(batch.new_edges)
             window_new_edges.append(batch.new_edges)
         xadj, adjncy, adjwgt, vwgt, _ = kp.csr_from_window(src, dst, 0, n, "unit")
@@ -142,7 +142,7 @@ def _micro_loops(clog: ColumnarLog):
     def window_pass_loop():
         kr, stream = kernels.active(), StreamState()
         for lo, hi in windows:
-            kr.window_pass(ts, src, dst, tx, sk, dk, lo, hi, stream)
+            kr.window_pass(src, dst, tx, lo, hi, stream)
 
     def account_window_loop():
         kr = kernels.active()

@@ -55,8 +55,7 @@ class ExperimentRunner:
     ):
         """Args:
             jobs: worker processes for uncached grid cells (1 =
-                in-process single-pass streaming; the default keeps
-                full ReplayResults available to :meth:`replay`).
+                in-process single-pass streaming).
             store: optional on-disk :class:`ResultStore` so replays
                 resume across runner instances and processes.
             source: replay a trace file (path or
@@ -178,14 +177,7 @@ class ExperimentRunner:
             )
             for key in missing:
                 self._cells[key] = rs.cell(key)
-                replay = rs.replay(key)
-                if replay is not None:
-                    self._replays[key] = replay
-        out = ResultSet(spec, {key: self._cells[key] for key in spec.cells()})
-        out._live = {
-            key: self._replays[key] for key in spec.cells() if key in self._replays
-        }
-        return out
+        return ResultSet(spec, {key: self._cells[key] for key in spec.cells()})
 
     def results_for(
         self,
@@ -211,18 +203,13 @@ class ExperimentRunner:
 
         ``method_kwargs`` are part of the cache key (via the method's
         :class:`MethodSpec`), so parameterised replays are memoised
-        like everything else.  Returns the full legacy
-        :class:`ReplayResult`; its ``graph`` is the shared cumulative
-        graph when the cell was computed in-process, else ``None``
-        (cells loaded from a store or computed by worker processes).
+        like everything else.  Returns the legacy
+        :class:`ReplayResult` view of the cell.
         """
         key = self._cell_key(method_name, k, seed, **method_kwargs)
-        if key not in self._replays:
+        if key not in self._cells:
             self.run(self.spec((key.method,), (k,), (seed,)))
-            if key not in self._replays:
-                # loaded from the store / a worker: rebuild (no graph)
-                self._replays[key] = self._cells[key].to_replay_result()
-        return self._replays[key]
+        return self._replay_of(key)
 
     def replay_many(
         self, method_names: Sequence[MethodLike], k: int, seed: int = 1
@@ -245,11 +232,14 @@ class ExperimentRunner:
         Returns (name, k) → result, keyed by the names as given.
         """
         self.run(self.spec(tuple(method_names), tuple(ks), (seed,)))
-        out: Dict[Tuple[MethodLike, int], ReplayResult] = {}
-        for name in method_names:
-            for k in ks:
-                key = self._cell_key(name, k, seed)
-                if key not in self._replays:
-                    self._replays[key] = self._cells[key].to_replay_result()
-                out[(name, k)] = self._replays[key]
-        return out
+        return {
+            (name, k): self._replay_of(self._cell_key(name, k, seed))
+            for name in method_names
+            for k in ks
+        }
+
+    def _replay_of(self, key: CellKey) -> ReplayResult:
+        """The memoised :class:`ReplayResult` view of a computed cell."""
+        if key not in self._replays:
+            self._replays[key] = self._cells[key].to_replay_result()
+        return self._replays[key]

@@ -23,11 +23,13 @@ import dataclasses
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import kernels
 from repro.core.assignment import ShardAssignment
 from repro.core.placement import place_by_min_cut
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
+from repro.metis.graph import CSRGraph
 
 
 @dataclasses.dataclass
@@ -39,12 +41,9 @@ class ReplayContext:
         k: number of shards.
         assignment: the live assignment (methods must not mutate it;
             they return proposed mappings instead).
-        graph: the cumulative blockchain graph up to ``now``.
         window_interactions: interactions of the window just processed.
         period_interactions: interactions since the last repartitioning
             (the R-METIS / TR-METIS / KL input).
-        period_graph: graph of ``period_interactions`` (built lazily by
-            the engine on first access within a window).
         last_repartition_ts: when the last repartitioning happened
             (genesis if never).
         window_dynamic_edge_cut: dynamic edge-cut of the window just
@@ -52,11 +51,9 @@ class ReplayContext:
         window_dynamic_balance: dynamic balance of the window just
             processed (TR-METIS trigger input).
         rng: the method's own seeded RNG.
-        columnar_log: the shared :class:`ColumnarLog` when the replay
-            streams one (else None).  Methods that can consume dense
-            vertex indices (warm-started METIS) read the log columns
-            directly instead of rebuilding graphs from ``graph`` /
-            ``period_interactions``.
+        columnar_log: the :class:`ColumnarLog` the replay streams.
+            Methods build their graphs from its dense columns
+            (:meth:`log_csr`) instead of from boxed interactions.
         log_hi: rows ``[0, log_hi)`` of ``columnar_log`` are exactly
             the interactions replayed so far (the cumulative graph).
         log_period_start: first row of the current repartition period;
@@ -67,38 +64,46 @@ class ReplayContext:
     now: float
     k: int
     assignment: ShardAssignment
-    graph: WeightedDiGraph
     window_interactions: Sequence[Interaction]
     period_interactions: Sequence[Interaction]
     last_repartition_ts: float
     window_dynamic_edge_cut: float
     window_dynamic_balance: float
     rng: random.Random
+    columnar_log: ColumnarLog
+    log_hi: int
+    log_period_start: int
     _period_graph_cache: Optional[WeightedDiGraph] = None
-    columnar_log: Optional[ColumnarLog] = None
-    log_hi: int = 0
-    log_period_start: int = 0
 
     @property
     def period_graph(self) -> WeightedDiGraph:
-        """Reduced graph of interactions since the last repartitioning.
-
-        With a columnar log underneath, the graph is aggregated by the
-        batch kernels straight from the dense columns (identical output,
-        no per-row Interaction boxing); otherwise it falls back to the
-        boxed builder.
-        """
+        """Reduced graph of interactions since the last repartitioning,
+        aggregated by the batch kernels straight from the log's dense
+        columns (built on first access)."""
         if self._period_graph_cache is None:
-            if self.columnar_log is not None:
-                from repro.graph.builder import build_graph_columnar
-
-                self._period_graph_cache = build_graph_columnar(
-                    self.columnar_log, self.log_period_start, self.log_hi)
-            else:
-                from repro.graph.builder import build_graph
-
-                self._period_graph_cache = build_graph(self.period_interactions)
+            self._period_graph_cache = build_graph_columnar(
+                self.columnar_log, self.log_period_start, self.log_hi)
         return self._period_graph_cache
+
+    def log_csr(self, lo: int, unit_vertex_weights: bool = False) -> CSRGraph:
+        """Undirected CSR graph of log rows ``[lo, log_hi)``.
+
+        Edge weight u–v counts the interactions between u and v in
+        either direction; self-interactions add no edge.  Vertices are
+        numbered in first-appearance order and each adjacency keeps
+        first-encounter order — the orders KL's and METIS's tie-breaks
+        depend on.  Vertex weights are activity counts, or all 1 with
+        ``unit_vertex_weights`` (the paper's METIS setup), floored at 1
+        either way.
+        """
+        log = self.columnar_log
+        first_seen, _upgrades, edge_weights, vertex_weights = (
+            kernels.active().graph_batch(
+                log.timestamps(), log.src_indices(), log.dst_indices(),
+                log.src_kind_codes(), log.dst_kind_codes(), lo, self.log_hi))
+        return CSRGraph.from_graph_batch(
+            first_seen, edge_weights,
+            {} if unit_vertex_weights else vertex_weights, log.vertex_id)
 
     @property
     def elapsed_since_repartition(self) -> float:

@@ -21,7 +21,6 @@ from repro import kernels
 from repro.core.base import PartitionMethod, ReplayContext
 from repro.core.oracle import BalanceOracle, MoveProposal, apply_probability_matrix
 from repro.graph.snapshot import REPARTITION_PERIOD
-from repro.metis.graph import CSRGraph
 
 
 class KLPartitioner(PartitionMethod):
@@ -56,30 +55,10 @@ class KLPartitioner(PartitionMethod):
         if ctx.elapsed_since_repartition < self.period:
             return None
 
-        # CSR bridge: local indices follow the collapsed undirected
-        # view's vertex order, and each adjacency keeps its
-        # first-encounter insertion order, so the batched kernel sees
-        # exactly the structures the per-vertex dict loop iterated —
-        # proposal order and tie-breaks are bit-identical.  With a
-        # columnar log underneath, one ``graph_batch`` kernel call +
-        # ``from_graph_batch`` skips the period ``WeightedDiGraph``
-        # entirely; the boxed fallback collapses ``ctx.period_graph``.
-        if ctx.columnar_log is not None:
-            lo, hi = ctx.log_period_start, ctx.log_hi
-            if hi <= lo:
-                return None
-            log = ctx.columnar_log
-            first_seen, _upgrades, edge_weights, vertex_weights = (
-                kernels.active().graph_batch(
-                    log.timestamps(), log.src_indices(), log.dst_indices(),
-                    log.src_kind_codes(), log.dst_kind_codes(), lo, hi))
-            csr = CSRGraph.from_graph_batch(
-                first_seen, edge_weights, vertex_weights, log.vertex_id)
-        else:
-            period_graph = ctx.period_graph
-            if period_graph.num_vertices == 0:
-                return None
-            csr = CSRGraph.from_digraph(period_graph)
+        # local indices follow first appearance in the period and each
+        # adjacency keeps its first-encounter order, so proposal order
+        # and tie-breaks are fixed by the log alone
+        csr = ctx.log_csr(ctx.log_period_start)
         if csr.num_vertices == 0:
             return None
         ids = csr.orig_ids or []

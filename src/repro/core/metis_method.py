@@ -14,9 +14,8 @@ raw move counts are huge; we deliberately do **not** align shard labels
 between runs, to reproduce that behaviour honestly.
 
 Warm mode (``warm=True``, off by default) is this reproduction's
-incremental extension: when the replay streams a
-:class:`~repro.graph.columnar.ColumnarLog`, the cumulative graph is
-accumulated incrementally from the log's dense indices
+incremental extension: the cumulative graph is accumulated
+incrementally from the replayed log's dense indices
 (:class:`~repro.metis.graph.ColumnarCSRBuilder`) and each repartition
 warm-starts from the previous run's assignment
 (``part_graph(warm_start=...)``), with a
@@ -51,10 +50,9 @@ class MetisPartitioner(PartitionMethod):
         warm_growth_threshold: float = 0.5,
     ):
         """Args:
-            warm: enable warm-started incremental repartitioning (needs
-                a ColumnarLog-backed replay; falls back to the cold path
-                otherwise).  Off by default — see the module docstring's
-                shard-relabeling caveat.
+            warm: enable warm-started incremental repartitioning.  Off
+                by default — see the module docstring's shard-relabeling
+                caveat.
             warm_growth_threshold: fall back to a cold multilevel run
                 when more than this fraction of vertices are new since
                 the previous repartitioning.
@@ -83,13 +81,14 @@ class MetisPartitioner(PartitionMethod):
     def maybe_repartition(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         if ctx.elapsed_since_repartition < self.period:
             return None
-        if self.warm and ctx.columnar_log is not None:
+        if self.warm:
             return self._repartition_warm(ctx)
-        if ctx.graph.num_vertices < self.k:
+        csr = ctx.log_csr(0, unit_vertex_weights=True)
+        if csr.num_vertices < self.k:
             return None
         self._run += 1
         result = part_graph(
-            ctx.graph,
+            csr,
             self.k,
             seed=self.seed * 10_007 + self._run,
             ubfactor=self.ubfactor,
@@ -99,7 +98,6 @@ class MetisPartitioner(PartitionMethod):
 
     def _repartition_warm(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         log = ctx.columnar_log
-        assert log is not None
         if (
             self._builder is None
             or self._builder.log is not log

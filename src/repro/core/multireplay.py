@@ -3,9 +3,8 @@
 Every figure and benchmark that compares partitioning methods replays
 the *same* interaction log once per method.  All of that work except
 the method's own decisions is identical across runs: the window
-slicing, the transaction grouping, the cumulative
-:class:`~repro.graph.digraph.WeightedDiGraph` and the distinct-edge
-detection do not depend on the method at all.
+slicing, the transaction grouping, the per-vertex activity weights
+and the distinct-edge detection do not depend on the method at all.
 
 :class:`MultiReplayEngine` streams the log exactly once and maintains
 the shared state a single time, fanning out only the per-method parts:
@@ -20,14 +19,13 @@ the shared state a single time, fanning out only the per-method parts:
 For deterministic (seeded) methods the results are bit-identical to N
 independent :class:`~repro.core.replay.ReplayEngine` runs — the single
 engine is in fact implemented as a one-method fan-out, so there is
-only one streaming loop in the codebase.  The shared cumulative graph
-is built once and the *same* object is referenced by every
-:class:`~repro.core.replay.ReplayResult`; treat it as read-only.
+only one streaming loop in the codebase.
 
-The log may be a plain ``Sequence[Interaction]`` or a
-:class:`~repro.graph.columnar.ColumnarLog`; with the columnar form,
-window boundaries resolve by bisect and rows materialise lazily, one
-window at a time.
+The engine streams a :class:`~repro.graph.columnar.ColumnarLog`; a
+plain ``Sequence[Interaction]`` is interned into one up front, so every
+method sees the same columnar context whatever the caller passed.
+Window boundaries resolve by bisect, and ``Interaction`` rows
+materialise only when a method reads them.
 
 This engine is the execution substrate of the declarative experiment
 API: :func:`repro.experiments.run.run_experiment` plans a (method × k
@@ -47,13 +45,10 @@ from repro.core.assignment import ShardAssignment
 from repro.core.base import PartitionMethod, RepartitionEvent, ReplayContext
 from repro.core.replay import ReplayResult, apply_proposal
 from repro.graph.builder import Interaction
-from repro.graph.columnar import _KIND_LIST, ColumnarLog
-from repro.graph.digraph import VertexKind, WeightedDiGraph
+from repro.graph.columnar import ColumnarLog, as_columnar
 from repro.graph.snapshot import METRIC_WINDOW
-from repro.kernels import PACK_MASK, PACK_SHIFT, StreamState
+from repro.kernels import StreamState
 from repro.metrics.series import MetricPoint, MetricSeries
-
-_CONTRACT = VertexKind.CONTRACT
 
 
 class _LogView(Sequence):
@@ -62,8 +57,8 @@ class _LogView(Sequence):
     Period buffers always cover a contiguous suffix of the streamed
     log (they reset only at window boundaries), so every method's
     ``period_interactions`` can share the one log instead of holding
-    its own boxed copy — with a :class:`ColumnarLog` underneath, rows
-    materialise only when a method actually reads them.
+    its own boxed copy — rows materialise only when a method actually
+    reads them.
     """
 
     __slots__ = ("_log", "_start", "_stop")
@@ -118,14 +113,13 @@ class _MethodState:
         # vertex with dense index i) — the accounting kernels' input
         self.shard_arr = array("i")
 
-    def result(self, graph: WeightedDiGraph) -> ReplayResult:
+    def result(self) -> ReplayResult:
         return ReplayResult(
             method=self.method.name,
             k=self.k,
             series=self.series,
             assignment=self.assignment,
             events=self.events,
-            graph=graph,
         )
 
 
@@ -153,32 +147,16 @@ class MultiReplayEngine:
             raise ValueError("metric_window must be positive")
         if len(set(map(id, methods))) != len(methods):
             raise ValueError("methods must be distinct instances")
-        if isinstance(interactions, ColumnarLog):
-            self.clog: Optional[ColumnarLog] = interactions
-            self.log: Sequence[Interaction] = interactions
-            self._kclog = interactions
-            n = len(interactions)
-            first = interactions.first_timestamp if n else 0.0
-            last = interactions.last_timestamp if n else 0.0
-        else:
-            self.clog = None
-            self.log = interactions
-            # the batch kernels consume dense columns, so a plain
-            # sequence is interned into a private ColumnarLog up front;
-            # ``clog`` stays None on purpose — methods gate columnar
-            # fast paths (warm METIS) on the *caller* providing one
-            self._kclog = ColumnarLog(interactions)
-            n = len(interactions)
-            first = interactions[0].timestamp if n else 0.0
-            last = interactions[-1].timestamp if n else 0.0
+        self.log = log = as_columnar(interactions)
+        n = len(log)
         self.methods = list(methods)
         self.metric_window = metric_window
-        self._first_ts = first
+        self._first_ts = log.first_timestamp if n else 0.0
         if end_ts is None:
             # one full second past the last interaction: a naive +epsilon
             # is absorbed by float rounding at multi-year timestamps and
             # silently drops the final window
-            end_ts = (last + 1.0) if n else 0.0
+            end_ts = (log.last_timestamp + 1.0) if n else 0.0
         self.end_ts = end_ts
 
     # ------------------------------------------------------------------
@@ -186,28 +164,20 @@ class MultiReplayEngine:
     def run(self) -> List[ReplayResult]:
         """One pass over the log; results in ``methods`` order."""
         log = self.log
-        clog = self.clog
-        kclog = self._kclog
         n_log = len(log)
         metric_window = self.metric_window
         end_ts = self.end_ts
 
         # batch-kernel inputs: the raw dense columns and the shared
-        # stream state (max streamed vertex, distinct-edge set)
+        # stream state (per-vertex activity weights, distinct-edge set)
         kr = kernels.active()
         stream = StreamState()
-        ts_col = kclog.timestamps()
-        src_col = kclog.src_indices()
-        dst_col = kclog.dst_indices()
-        tx_col = kclog.tx_ids()
-        sk_col = kclog.src_kind_codes()
-        dk_col = kclog.dst_kind_codes()
-        vertex_id = kclog.vertex_id
+        vertex_weight = stream.vertex_weight
+        src_col = log.src_indices()
+        dst_col = log.dst_indices()
+        tx_col = log.tx_ids()
+        vertex_id = log.vertex_id
 
-        graph = WeightedDiGraph()
-        add_vertex = graph.add_vertex
-        add_edge = graph.add_edge
-        add_vertex_weight = graph.add_vertex_weight
         for m in self.methods:
             m.begin_replay()
         states = [_MethodState(m, self._first_ts) for m in self.methods]
@@ -219,29 +189,12 @@ class MultiReplayEngine:
         while window_start < end_ts:
             window_end = window_start + metric_window
             lo = idx
-            idx = max(kclog.index_at(window_end), lo)
+            idx = max(log.index_at(window_end), lo)
 
-            # shared pass: one kernel call bucketises the window
-            # (first-seen vertices per transaction, edge/vertex weight
-            # folds, never-seen-before edges), then the cumulative graph
-            # grows in bulk — vertex and adjacency insertion orders are
-            # identical to the per-row legacy loop (the kernel contract,
-            # see docs/kernels.md)
-            batch = kr.window_pass(
-                ts_col, src_col, dst_col, tx_col, sk_col, dk_col,
-                lo, idx, stream)
-            new_pairs: List = []
-            for dense, kind_code, first_ts in batch.first_seen:
-                raw = vertex_id(dense)
-                new_pairs.append((dense, raw))
-                add_vertex(raw, _KIND_LIST[kind_code], 0, first_ts)
-            for dense in batch.upgrades:
-                add_vertex(vertex_id(dense), _CONTRACT)
-            for packed, weight in batch.edge_weights.items():
-                add_edge(vertex_id(packed >> PACK_SHIFT),
-                         vertex_id(packed & PACK_MASK), weight)
-            for dense, delta in batch.vertex_weights.items():
-                add_vertex_weight(vertex_id(dense), delta)
+            # shared pass: one kernel call folds the window's activity
+            # weights, finds never-seen-before edges and buckets the
+            # first-seen vertices per transaction
+            batch = kr.window_pass(src_col, dst_col, tx_col, lo, idx, stream)
             # static cut counts distinct *directed* edges, per the
             # paper's directed-graph formulation
             distinct_edges += len(batch.new_edges)
@@ -250,7 +203,9 @@ class MultiReplayEngine:
             # placement inputs, shared across methods: the raw endpoint
             # appearance list of each transaction bucket that introduced
             # at least one first-seen vertex (all other buckets skip the
-            # placement loop entirely)
+            # placement loop entirely).  The buckets' new vertices, in
+            # order, are the window's new dense indices.
+            new_pairs: List = []
             group_inputs: List = []
             for g_lo, g_hi, new_dense in batch.placement_groups:
                 endpoints: List[int] = []
@@ -258,15 +213,16 @@ class MultiReplayEngine:
                 for i in range(g_lo, g_hi):
                     append_endpoint(vertex_id(src_col[i]))
                     append_endpoint(vertex_id(dst_col[i]))
-                group_inputs.append(
-                    ([vertex_id(d) for d in new_dense], endpoints))
+                new_raws = [vertex_id(d) for d in new_dense]
+                new_pairs.extend(zip(new_dense, new_raws))
+                group_inputs.append((new_raws, endpoints))
 
             window_rows = idx - lo
             window_view = _LogView(log, lo, idx)
 
             # fan-out: placement, accounting and the window close for
             # each method.  Placement first, bulk accounting second —
-            # equivalent to the legacy interleaved walk because
+            # equivalent to an interleaved per-row walk because
             # placement rules read only the shard map and vertex counts,
             # never the activity weights accounting mutates.
             for st in states:
@@ -302,26 +258,25 @@ class MultiReplayEngine:
                     now=window_end,
                     k=k,
                     assignment=assignment,
-                    graph=graph,
                     window_interactions=window_view,
                     period_interactions=_LogView(log, st.period_start, idx),
                     last_repartition_ts=st.last_repartition_ts,
                     window_dynamic_edge_cut=dyn_cut,
                     window_dynamic_balance=dyn_balance,
                     rng=method.rng,
-                    columnar_log=clog,
+                    columnar_log=log,
                     log_hi=idx,
                     log_period_start=st.period_start,
                 )
                 proposal = method.maybe_repartition(ctx)
                 if proposal is not None:
-                    moves = apply_proposal(proposal, assignment, graph)
+                    index_of = log._index()
+                    moves = apply_proposal(
+                        proposal, assignment, index_of, vertex_weight)
                     st.total_moves += moves
                     # resync the dense mirror for moved vertices, then
                     # recount the static cut over the accumulated
-                    # distinct-edge arrays (identical to walking the
-                    # graph's edges: they are the same edge set)
-                    index_of = kclog._index()
+                    # distinct-edge arrays
                     n_streamed = len(shard_arr)
                     for raw in proposal:
                         dense = index_of.get(raw)
@@ -356,7 +311,7 @@ class MultiReplayEngine:
 
             window_start = window_end
 
-        return [st.result(graph) for st in states]
+        return [st.result() for st in states]
 
 
 def replay_methods(

@@ -7,8 +7,9 @@ file), maintains the live shard assignment, and per metric window
 
 1. groups the window's interactions by transaction and places
    newly-appearing vertices via the method's placement rule;
-2. incrementally maintains the cumulative graph and the static-metric
-   counters, and accumulates per-window dynamic-metric counters;
+2. incrementally maintains the per-vertex activity weights and the
+   static-metric counters, and accumulates per-window dynamic-metric
+   counters;
 3. records a :class:`~repro.metrics.series.MetricPoint`;
 4. offers the method a chance to repartition; if it does, applies the
    proposal, counts the moves and resets the period buffer.
@@ -26,12 +27,12 @@ facade.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.core.assignment import ShardAssignment
 from repro.core.base import PartitionMethod, RepartitionEvent
 from repro.graph.builder import Interaction
-from repro.graph.digraph import WeightedDiGraph
+from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import METRIC_WINDOW
 from repro.metrics.series import MetricSeries
 
@@ -40,13 +41,8 @@ from repro.metrics.series import MetricSeries
 class ReplayResult:
     """Everything a replay produced.
 
-    ``graph`` is the cumulative blockchain graph at the end of the
-    replay.  Results fanned out of one
-    :class:`~repro.core.multireplay.MultiReplayEngine` pass all
-    reference the *same* graph object (it is built once by design), so
-    treat it as read-only — derive from it with
-    :meth:`~repro.graph.digraph.WeightedDiGraph.copy` or
-    ``subgraph`` before mutating.
+    The replayed graph is not part of it; build it from the log with
+    :func:`~repro.graph.builder.build_graph` when a caller needs it.
     """
 
     method: str
@@ -54,7 +50,6 @@ class ReplayResult:
     series: MetricSeries
     assignment: ShardAssignment
     events: List[RepartitionEvent]
-    graph: WeightedDiGraph
 
     @property
     def total_moves(self) -> int:
@@ -68,10 +63,17 @@ class ReplayResult:
 def apply_proposal(
     proposal: Mapping[int, int],
     assignment: ShardAssignment,
-    graph: WeightedDiGraph,
+    log_index: Mapping[int, int],
+    vertex_weight: Sequence[int],
 ) -> int:
-    """Apply a repartition proposal; returns the move count."""
+    """Apply a repartition proposal; returns the move count.
+
+    A moved vertex carries its activity weight to the new shard:
+    ``vertex_weight[log_index[v]]``, the dense activity column of the
+    rows streamed so far (zero for a vertex not streamed yet).
+    """
     moves = 0
+    n_streamed = len(vertex_weight)
     for v, shard in proposal.items():
         current = assignment.shard_of(v)
         if current is None:
@@ -80,20 +82,14 @@ def apply_proposal(
             assignment.assign(v, shard)
             continue
         if current != shard:
-            assignment.move(v, shard, weight=graph.vertex_weight(v) if v in graph else 0)
+            dense = log_index.get(v)
+            weight = (
+                vertex_weight[dense]
+                if dense is not None and dense < n_streamed else 0
+            )
+            assignment.move(v, shard, weight=weight)
             moves += 1
     return moves
-
-
-def recount_static_cut(graph: WeightedDiGraph, assignment: ShardAssignment) -> int:
-    """Recompute the distinct-directed-edge cut after a repartition."""
-    cut = 0
-    for src, dst, _w in graph.edges():
-        if src == dst:
-            continue
-        if assignment[src] != assignment[dst]:
-            cut += 1
-    return cut
 
 
 class ReplayEngine:
@@ -107,47 +103,35 @@ class ReplayEngine:
 
     def __init__(
         self,
-        interactions: Sequence[Interaction],
+        interactions: Union[Sequence[Interaction], ColumnarLog],
         method: PartitionMethod,
         metric_window: float = METRIC_WINDOW,
         end_ts: Optional[float] = None,
     ):
         """Args:
             interactions: the full, time-ordered interaction log (e.g.
-                ``workload_result.builder.log``).
+                ``workload_result.builder.log``) or a
+                :class:`~repro.graph.columnar.ColumnarLog`.
             method: the partitioning method under study.
             metric_window: sampling window width in seconds (paper: 4h).
-            end_ts: replay horizon; defaults to just past the last
-                interaction.
+            end_ts: replay horizon; defaults to one second past the
+                last interaction.
         """
-        if metric_window <= 0:
-            raise ValueError("metric_window must be positive")
-        self.log = interactions
+        from repro.core.multireplay import MultiReplayEngine
+
         self.method = method
         self.k = method.k
-        self.metric_window = metric_window
-        if end_ts is None:
-            # one full second past the last interaction: a naive +epsilon
-            # is absorbed by float rounding at multi-year timestamps and
-            # silently drops the final window
-            end_ts = (interactions[-1].timestamp + 1.0) if interactions else 0.0
-        self.end_ts = end_ts
+        self._engine = MultiReplayEngine(
+            interactions, [method], metric_window=metric_window, end_ts=end_ts)
 
     # ------------------------------------------------------------------
 
     def run(self) -> ReplayResult:
-        from repro.core.multireplay import MultiReplayEngine
-
-        return MultiReplayEngine(
-            self.log,
-            [self.method],
-            metric_window=self.metric_window,
-            end_ts=self.end_ts,
-        ).run()[0]
+        return self._engine.run()[0]
 
 
 def replay_method(
-    interactions: Sequence[Interaction],
+    interactions: Union[Sequence[Interaction], ColumnarLog],
     method: PartitionMethod,
     metric_window: float = METRIC_WINDOW,
 ) -> ReplayResult:

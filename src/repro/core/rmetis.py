@@ -11,13 +11,12 @@ and far fewer moves ("because they use a smaller graph").
 The paper's Figs. 4–5 label this method **P-METIS** (periodic METIS on
 the reduced graph); the registry accepts both names.
 
-Warm mode (``warm=True``, off by default): with a ColumnarLog-backed
-replay, the reduced window graph is built straight from the log's dense
-index columns (:meth:`~repro.metis.graph.CSRGraph.from_columnar` over
-the period's row range — no ``Interaction`` boxing, no
-``WeightedDiGraph``) and the partitioner warm-starts from the *live*
-assignment, so window vertices tend to keep their current shard and
-only boundary refinement runs.  The coarsening ladder cache is **not**
+Warm mode (``warm=True``, off by default): the reduced window graph is
+built straight from the log's dense index columns
+(:meth:`~repro.metis.graph.CSRGraph.from_columnar` over the period's
+row range) and the partitioner warm-starts from the *live* assignment,
+so window vertices tend to keep their current shard and only boundary
+refinement runs.  The coarsening ladder cache is **not**
 used here (successive windows are different graphs, not grown versions
 of one graph, so a cached hierarchy would not transfer), and there is
 no growth-threshold knob either: every window vertex was placed by the
@@ -68,14 +67,14 @@ class RMetisPartitioner(PartitionMethod):
 
     def partition_window(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         """Partition the window graph; shared with TR-METIS."""
-        if self.warm and ctx.columnar_log is not None:
+        if self.warm:
             return self._partition_window_warm(ctx)
-        window = ctx.period_graph
-        if window.num_vertices < self.k:
+        csr = ctx.log_csr(ctx.log_period_start, unit_vertex_weights=True)
+        if csr.num_vertices < self.k:
             return None
         self._run += 1
         result = part_graph(
-            window,
+            csr,
             self.k,
             seed=self.seed * 10_007 + self._run,
             ubfactor=self.ubfactor,
@@ -85,7 +84,6 @@ class RMetisPartitioner(PartitionMethod):
 
     def _partition_window_warm(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         log = ctx.columnar_log
-        assert log is not None
         csr = CSRGraph.from_columnar(
             log, start=ctx.log_period_start, stop=ctx.log_hi, vertex_weights="unit"
         )

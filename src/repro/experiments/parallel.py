@@ -1,13 +1,13 @@
 """Process-pool fan-out for independent experiment grid cells.
 
 The single-pass :class:`~repro.core.multireplay.MultiReplayEngine`
-already shares the log stream and cumulative graph across every method
-in one process.  For multi-core sweeps, the grid's cells are split
-into ``jobs`` balanced chunks and each chunk replays in its own worker
-process — one shared stream *per worker*.  Cells are independent by
-construction (each method instance carries its own RNG and state), so
-the fan-out is bit-identical to the sequential pass; only the amount
-of shared-graph rebuilding changes (once per worker instead of once).
+already shares the log stream across every method in one process.  For
+multi-core sweeps, the grid's cells are split into ``jobs`` balanced
+chunks and each chunk replays in its own worker process — one shared
+stream *per worker*.  Cells are independent by construction (each
+method instance carries its own RNG and state), so the fan-out is
+bit-identical to the sequential pass; only the shared per-window work
+is repeated (once per worker instead of once).
 
 The ``log`` handle every entry point takes is either an in-memory log
 (shared with ``fork`` workers via copy-on-write, exactly as before) or
@@ -159,8 +159,9 @@ def run_chunks_parallel(
     copy-on-write instead of receiving a pickled copy per chunk.
     Falls back to in-process execution when a pool cannot be created
     (restricted sandboxes) or when workers could not resolve a
-    runtime-registered custom method; results are identical either
-    way.
+    runtime-registered custom method, and recomputes inline every chunk
+    a crashed worker (OOM kill, segfault) left undelivered; results are
+    identical either way.
     """
     results: List[Optional[List[CellResult]]] = [None] * len(chunks)
     source_handle = isinstance(log, LogSource)
@@ -193,10 +194,11 @@ def run_chunks_parallel(
         run_inline(range(len(chunks)))
         return results
 
+    import concurrent.futures as futures
+    from concurrent.futures.process import BrokenProcessPool
+
     global _FORK_SHARED
     try:
-        import concurrent.futures as futures
-
         if forked:
             _FORK_SHARED = (log, window_seconds, execution)
         try:
@@ -221,7 +223,7 @@ def run_chunks_parallel(
         finally:
             if forked:
                 _FORK_SHARED = None
-    except (OSError, PermissionError):
+    except (OSError, PermissionError, BrokenProcessPool):
         # recompute only what the pool did not deliver
         run_inline(i for i in range(len(chunks)) if results[i] is None)
     return results

@@ -101,20 +101,14 @@ class CellResult:
             shard_weights=tuple(replay.assignment.weights),
         )
 
-    def to_replay_result(self, graph=None) -> ReplayResult:
-        """Back-compat bridge to the legacy result type.
-
-        ``graph`` is ``None`` unless the caller still holds the shared
-        cumulative graph (cells loaded from disk or computed in a
-        worker process do not).
-        """
+    def to_replay_result(self) -> ReplayResult:
+        """Back-compat bridge to the legacy result type."""
         return ReplayResult(
             method=self.key.method.name,
             k=self.key.k,
             series=self.series,
             assignment=self.to_assignment(),
             events=list(self.events),
-            graph=graph,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -180,9 +174,7 @@ class ResultSet:
     """Results of an experiment, keyed by (method spec, k, seed).
 
     Iteration yields :class:`CellResult` objects in the spec's grid
-    order.  Equality compares the spec and every cell (the in-memory
-    ``ReplayResult`` handles attached by a same-process run are
-    excluded — they do not survive serialization by design).
+    order.  Equality compares the spec and every cell.
     """
 
     def __init__(self, spec: ExperimentSpec, cells: Dict[CellKey, CellResult]):
@@ -191,9 +183,6 @@ class ResultSet:
         # preserve any extra cells (merged sets) after the spec's grid
         order += [k for k in cells if k not in set(order)]
         self._cells: Dict[CellKey, CellResult] = {k: cells[k] for k in order}
-        #: full ReplayResults (with the shared graph) for cells computed
-        #: in this process; absent for loaded/worker-computed cells.
-        self._live: Dict[CellKey, ReplayResult] = {}
 
     # -- mapping surface -----------------------------------------------
 
@@ -228,10 +217,6 @@ class ResultSet:
 
     def cell(self, key: CellKey) -> CellResult:
         return self._cells[key]
-
-    def replay(self, key: CellKey) -> Optional[ReplayResult]:
-        """The full in-process ReplayResult for a cell, if available."""
-        return self._live.get(key)
 
     # -- equality / serialization --------------------------------------
 
@@ -271,6 +256,4 @@ class ResultSet:
         """New set with ``other``'s cells added (other wins on clash)."""
         merged = dict(self._cells)
         merged.update(other._cells)
-        rs = ResultSet(self.spec, merged)
-        rs._live = {**self._live, **other._live}
-        return rs
+        return ResultSet(self.spec, merged)

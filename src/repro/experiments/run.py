@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, Optional, Sequence, Union
 
-from repro.core.replay import ReplayResult
 from repro.ethereum.workload import WorkloadResult, generate_history
 from repro.experiments.parallel import partition_cells, replay_chunk, run_chunks_parallel
 from repro.experiments.results import CellResult, ResultSet
@@ -117,7 +116,6 @@ def run_experiment(
                     progress(key, "loaded")
     pending = [k for k in cells if k not in done]
 
-    live: Dict[CellKey, ReplayResult] = {}
     if pending:
         if callable(log):
             log = log()
@@ -149,24 +147,8 @@ def run_experiment(
                 progress(cell.key, "computed")
 
         if jobs == 1 or len(pending) == 1:
-            # one shared stream for the whole remaining grid; keep the
-            # full ReplayResults (with the shared cumulative graph) for
-            # same-process callers like the back-compat runner facade
-            from repro.core.multireplay import MultiReplayEngine
-            from repro.experiments.source import LogSource
-
-            shared = handle.load() if isinstance(handle, LogSource) else handle
-            methods = [key.method.make(key.k, seed=key.seed) for key in pending]
-            replays = MultiReplayEngine(shared, methods, metric_window=window).run()
-            fresh = []
-            for key, replay in zip(pending, replays):
-                live[key] = replay
-                fresh.append(CellResult.from_replay(key, replay))
-            if spec.execution is not None:
-                from repro.experiments.execution import attach_execution
-
-                attach_execution(shared, fresh, spec.execution)
-            for cell in fresh:
+            # one shared stream for the whole remaining grid
+            for cell in replay_chunk(handle, window, pending, spec.execution):
                 collect(cell)
         else:
             # cells persist chunk-by-chunk as workers finish, so an
@@ -178,9 +160,7 @@ def run_experiment(
                 execution=spec.execution,
             )
 
-    rs = ResultSet(spec, done)
-    rs._live = live
-    return rs
+    return ResultSet(spec, done)
 
 
 # re-exported convenience: one-call sequential chunk replay (used by

@@ -15,7 +15,7 @@ Hot-path callers grab the backend module once per window/pass::
 
     from repro import kernels
     kr = kernels.active()
-    batch = kr.window_pass(ts, src, dst, tx, sk, dk, lo, hi, state)
+    batch = kr.window_pass(src, dst, tx, lo, hi, state)
 
 This package deliberately imports nothing from the rest of ``repro``
 (the graph/metis/core layers import *it*).

@@ -3,9 +3,9 @@
 Every function here is a straight per-row / per-edge transliteration of
 the loop it replaced, kept deliberately simple: no bulk counting, no
 slicing tricks.  The other backends must reproduce these outputs
-*exactly* (including dict key order, which the cumulative graph's
-adjacency insertion order and therefore cold METIS results depend on);
-``tests/kernels/test_parity.py`` holds them to it.
+*exactly* (including dict key order: ``graph_batch``'s edge order
+fixes the CSR adjacency order, which KL and cold METIS results depend
+on); ``tests/kernels/test_parity.py`` holds them to it.
 """
 
 from __future__ import annotations
@@ -23,17 +23,13 @@ CONTRACT_CODE = 1
 # replay stream
 
 
-def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
+def window_pass(src, dst, tx, lo: int, hi: int,
                 state: StreamState) -> WindowBatch:
-    """Shared per-window pass: first-seens, edge/vertex counts, new edges."""
+    """Shared per-window pass: activity weights, new edges, placement groups."""
     edge_seen = state.edge_seen
-    contract_known = state.contract_known
-    cur_max = state.max_vertex
+    weight = state.vertex_weight
+    n_seen = len(weight)
 
-    first_seen: List[Tuple[int, int, float]] = []
-    upgrades: List[int] = []
-    edge_weights: Dict[int, int] = {}
-    vertex_weights: Dict[int, int] = {}
     new_edges: List[int] = []
     placement_groups: List[Tuple[int, int, Tuple[int, ...]]] = []
 
@@ -54,30 +50,19 @@ def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
             bucket_lo = i
             bucket_tx = t
 
-        if s > cur_max:
-            cur_max = s
-            first_seen.append((s, skind[i], ts[i]))
+        if s >= n_seen:
+            weight.append(0)
+            n_seen += 1
             bucket_new.append(s)
-            if skind[i] == CONTRACT_CODE:
-                contract_known.add(s)
-        elif skind[i] == CONTRACT_CODE and s not in contract_known:
-            contract_known.add(s)
-            upgrades.append(s)
-        if d > cur_max:
-            cur_max = d
-            first_seen.append((d, dkind[i], ts[i]))
+        if d >= n_seen:
+            weight.append(0)
+            n_seen += 1
             bucket_new.append(d)
-            if dkind[i] == CONTRACT_CODE:
-                contract_known.add(d)
-        elif dkind[i] == CONTRACT_CODE and d not in contract_known:
-            contract_known.add(d)
-            upgrades.append(d)
+        weight[s] += 1
+        if d != s:
+            weight[d] += 1
 
         p = (s << PACK_SHIFT) | d
-        edge_weights[p] = edge_weights.get(p, 0) + 1
-        vertex_weights[s] = vertex_weights.get(s, 0) + 1
-        if d != s:
-            vertex_weights[d] = vertex_weights.get(d, 0) + 1
         if p not in edge_seen:
             edge_seen.add(p)
             if d != s:
@@ -85,17 +70,18 @@ def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
 
     if bucket_new:
         placement_groups.append((bucket_lo, hi, tuple(bucket_new)))
-    state.max_vertex = cur_max
-    return WindowBatch(first_seen, upgrades, edge_weights, vertex_weights,
-                       new_edges, placement_groups)
+    return WindowBatch(new_edges, placement_groups)
 
 
 def graph_batch(ts, src, dst, skind, dkind, lo: int, hi: int):
     """Aggregate rows [lo, hi) for a standalone window digraph.
 
-    The stateless sibling of :func:`window_pass` (fresh graph, no
-    cross-window memory): returns ``(first_seen, upgrades,
-    edge_weights, vertex_weights)`` with the same order conventions.
+    Returns ``(first_seen, upgrades, edge_weights, vertex_weights)``:
+    ``(dense, kind_code, timestamp)`` per vertex in first-appearance
+    order (src before dst within a row), dense indices seen with a
+    CONTRACT kind code after their first appearance, packed directed
+    edge -> interaction count in first-occurrence order, and dense
+    index -> activity count (src every row, dst only when distinct).
     """
     seen: set = set()
     contracts: set = set()

@@ -9,7 +9,7 @@ field-for-field.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 #: dense vertex indices fit 32 bits; a directed edge packs into one
 #: int64 key as ``(src << 32) | dst`` — the unit of edge identity for
@@ -22,22 +22,20 @@ class StreamState:
     """Cross-window replay-stream state owned by the engine.
 
     Tracks what has been streamed so far in dense-index space: the
-    highest dense vertex index seen (interning is in first-appearance
-    order, so ``index > max_vertex`` *is* the first-appearance test),
-    the set of distinct directed edges, the flat endpoint arrays of
-    those edges (the static-cut recount input) and which vertices are
-    already known to be contracts (so kind upgrades are emitted at most
-    once per vertex).
+    activity weight of every vertex seen (src counts every row, dst
+    only when distinct from src; interning is in first-appearance
+    order, so ``index >= len(vertex_weight)`` *is* the
+    first-appearance test), the set of distinct directed edges and the
+    flat endpoint arrays of those edges (the static-cut recount input).
     """
 
-    __slots__ = ("max_vertex", "edge_seen", "esrc", "edst", "contract_known")
+    __slots__ = ("vertex_weight", "edge_seen", "esrc", "edst")
 
     def __init__(self) -> None:
-        self.max_vertex = -1
+        self.vertex_weight: List[int] = []
         self.edge_seen: set = set()
         self.esrc = array("q")
         self.edst = array("q")
-        self.contract_known: set = set()
 
     @property
     def num_edges(self) -> int:
@@ -110,17 +108,6 @@ class WindowBatch:
     """Everything one shared window pass precomputes for the engine.
 
     Attributes:
-        first_seen: ``(dense, kind_code, timestamp)`` per vertex making
-            its first log appearance in the window, in appearance order
-            (src before dst within a row).
-        upgrades: dense indices of already-known vertices observed with
-            a CONTRACT kind code for the first time (graph kind
-            upgrade), in row order.
-        edge_weights: packed directed edge -> interaction count for the
-            window, keys in first-occurrence order (the cumulative
-            graph's adjacency insertion order depends on it).
-        vertex_weights: dense index -> activity increment (src counts
-            every row, dst only when distinct from src).
         new_edges: packed distinct non-self directed edges first seen in
             this window, in first-occurrence order.  Accounting derives
             its static-cut delta from these directly: the shard map is
@@ -130,27 +117,18 @@ class WindowBatch:
         placement_groups: ``(row_lo, row_hi, new_dense)`` per
             transaction bucket that introduced at least one first-seen
             vertex; ``new_dense`` lists those vertices in appearance
-            order.  Buckets without new vertices never reach the
-            placement loop at all.
+            order (src before dst within a row), so the groups'
+            ``new_dense`` concatenate to the window's new vertices.
+            Buckets without new vertices never reach the placement
+            loop at all.
     """
 
-    __slots__ = (
-        "first_seen", "upgrades", "edge_weights", "vertex_weights",
-        "new_edges", "placement_groups",
-    )
+    __slots__ = ("new_edges", "placement_groups")
 
     def __init__(
         self,
-        first_seen: List[Tuple[int, int, float]],
-        upgrades: List[int],
-        edge_weights: Dict[int, int],
-        vertex_weights: Dict[int, int],
         new_edges: List[int],
         placement_groups: List[Tuple[int, int, Tuple[int, ...]]],
     ) -> None:
-        self.first_seen = first_seen
-        self.upgrades = upgrades
-        self.edge_weights = edge_weights
-        self.vertex_weights = vertex_weights
         self.new_edges = new_edges
         self.placement_groups = placement_groups

@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import PartitionError
 from repro.graph.digraph import WeightedDiGraph
-from repro.graph.undirected import UndirectedView, collapse_to_undirected
+from repro.graph.undirected import UndirectedView
 from repro.metis.coarsen import LadderCache
 from repro.metis.graph import CSRGraph
 from repro.metis.kway import (
@@ -154,11 +154,9 @@ def part_graph(
             f"scheme must be 'recursive' or 'direct', got {scheme!r}"
         )
 
-    unit = vertex_weights == "unit"
     if isinstance(graph, WeightedDiGraph):
-        csr = CSRGraph.from_undirected(
-            collapse_to_undirected(graph, unit_vertex_weights=unit)
-        )
+        csr = CSRGraph.from_digraph(
+            graph, unit_vertex_weights=vertex_weights == "unit")
     elif isinstance(graph, UndirectedView):
         csr = CSRGraph.from_undirected(graph)
     elif isinstance(graph, CSRGraph):

@@ -5,17 +5,20 @@ adjacency in CSR (compressed sparse row) layout — the same representation
 METIS uses — because the coarsening and refinement inner loops touch
 every edge many times and dict-of-dict graphs are too slow for that.
 
-``CSRGraph`` is immutable after construction.  ``from_undirected``
-bridges from the domain-level :class:`~repro.graph.undirected.UndirectedView`
-and keeps the original-vertex-id mapping.
+``CSRGraph`` is immutable after construction.  ``from_undirected`` and
+``from_digraph`` bridge from the domain-level graphs
+(:class:`~repro.graph.undirected.UndirectedView`,
+:class:`~repro.graph.digraph.WeightedDiGraph`) and keep the
+original-vertex-id mapping.
 
-Two ColumnarLog bridges skip the ``WeightedDiGraph`` →
-``collapse_to_undirected`` → CSR rebuild entirely, reading the log's
-dense vertex indices straight into CSR arrays:
+The replay's methods never build a domain-level graph; their bridges
+read a ColumnarLog's dense vertex indices straight into CSR arrays:
 
+* :meth:`CSRGraph.from_graph_batch` collapses one ``graph_batch``
+  aggregate of a row range — the KL and cold METIS-family input;
 * :meth:`CSRGraph.from_columnar` builds the undirected interaction
-  graph of any row range ``[start, stop)`` in one pass — the R-METIS /
-  TR-METIS reduced-window input;
+  graph of any row range ``[start, stop)`` in one pass — the warm
+  R-METIS / TR-METIS reduced-window input;
 * :class:`ColumnarCSRBuilder` maintains the *cumulative* graph
   incrementally: each :meth:`~ColumnarCSRBuilder.advance` call folds in
   only the rows appended since the previous call, so periodic

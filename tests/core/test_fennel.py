@@ -64,7 +64,8 @@ class TestPlacement:
         assert m.place_vertex(99, [99], a) == 2
 
     def test_never_repartitions(self):
-        from tests.core.test_methods import make_ctx, two_communities
+        from ctx_helpers import make_ctx
+        from tests.core.test_methods import two_communities
 
         m = FennelPartitioner(2)
         ctx = make_ctx(m, two_communities(), now=400 * DAY)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from ctx_helpers import make_ctx
+
 from repro.core.assignment import ShardAssignment
-from repro.core.base import ReplayContext
 from repro.core.hashing import HashPartitioner
 from repro.core.kl import KLPartitioner
 from repro.core.metis_method import MetisPartitioner
@@ -14,37 +15,6 @@ from repro.core.rmetis import RMetisPartitioner
 from repro.core.trmetis import TRMetisPartitioner
 from repro.graph.builder import Interaction
 from repro.graph.snapshot import DAY, REPARTITION_PERIOD
-
-
-def make_ctx(
-    method,
-    interactions=(),
-    now=20 * DAY,
-    last_repartition=0.0,
-    window_cut=0.0,
-    window_balance=1.0,
-    assignment=None,
-):
-    """Build a ReplayContext from a raw interaction list."""
-    from repro.graph.builder import build_graph
-
-    graph = build_graph(interactions)
-    if assignment is None:
-        assignment = ShardAssignment(method.k)
-        for i, v in enumerate(sorted(graph.vertices())):
-            assignment.assign(v, i % method.k)
-    return ReplayContext(
-        now=now,
-        k=method.k,
-        assignment=assignment,
-        graph=graph,
-        window_interactions=list(interactions),
-        period_interactions=list(interactions),
-        last_repartition_ts=last_repartition,
-        window_dynamic_edge_cut=window_cut,
-        window_dynamic_balance=window_balance,
-        rng=method.rng,
-    )
 
 
 def two_communities(n_each=8, cross=1):
@@ -211,7 +181,7 @@ class TestMetisMethods:
         ctx = make_ctx(m, inter, now=30 * DAY)
         proposal = m.maybe_repartition(ctx)
         assert proposal is not None
-        assert set(proposal) == set(ctx.graph.vertices())
+        assert set(proposal) == {v for it in inter for v in (it.src, it.dst)}
 
     def test_metis_finds_communities(self):
         m = MetisPartitioner(2, seed=1)

@@ -1,8 +1,7 @@
 """Tests for the single-pass multi-method replay engine.
 
 The load-bearing property: fanning N methods out of one shared log
-stream must be *bit-identical* to N independent single-method replays,
-while building the cumulative graph exactly once.
+stream must be *bit-identical* to N independent single-method replays.
 """
 
 import pytest
@@ -11,7 +10,7 @@ from repro.core.base import PartitionMethod
 from repro.core.multireplay import MultiReplayEngine, replay_methods
 from repro.core.registry import make_method
 from repro.core.replay import ReplayEngine
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph
 from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import HOUR
 
@@ -134,26 +133,14 @@ class TestEquivalence:
         for s, m in zip(from_list, from_columnar):
             assert_results_identical(s, m)
 
-    def test_graph_is_built_once_and_shared(self, tiny_workload):
-        log = tiny_workload.builder.log
-        results = MultiReplayEngine(
-            log,
-            [make_method(n, 4, seed=1) for n in ("hash", "fennel", "kl")],
-            metric_window=24 * HOUR,
-        ).run()
-        first = results[0].graph
-        assert all(r.graph is first for r in results)
-        assert first.num_vertices == tiny_workload.builder.graph.num_vertices
-        assert first.num_edges == tiny_workload.builder.graph.num_edges
-        assert first.total_edge_weight == tiny_workload.builder.graph.total_edge_weight
-
     def test_weight_caches_consistent_with_graph(self, tiny_workload):
+        graph = build_graph(tiny_workload.builder.log)
         for result in replay_methods(
             tiny_workload.builder.log,
             [make_method(n, 4, seed=1) for n in ("hash", "tr-metis")],
             metric_window=24 * HOUR,
         ):
-            result.assignment.validate(result.graph)
+            result.assignment.validate(graph)
 
 
 class TestEngineContract:

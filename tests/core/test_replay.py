@@ -5,7 +5,7 @@ import pytest
 from repro.core.base import PartitionMethod
 from repro.core.hashing import HashPartitioner
 from repro.core.replay import ReplayEngine, replay_method
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph
 from repro.graph.snapshot import DAY, HOUR
 
 
@@ -70,10 +70,17 @@ class TestEngineBasics:
         assert len(result.series) == 5
 
     def test_graph_matches_log(self):
+        """Shard weights and the static cut follow the log's graph:
+        activity weights per vertex, distinct directed edges."""
         log = log_of([(1, 2), (1, 2), (2, 3)])
         result = replay_method(log, StaticMethod(2), metric_window=10.0)
-        assert result.graph.edge_weight(1, 2) == 2
-        assert result.graph.num_vertices == 3
+        graph = build_graph(log)
+        assert graph.edge_weight(1, 2) == 2
+        assert len(result.assignment) == graph.num_vertices == 3
+        result.assignment.validate(graph)
+        assert result.assignment.weights == (3, 3)
+        # shard = v % 2: 1->2 and 2->3 both cross
+        assert result.series.points[0].static_edge_cut == pytest.approx(1.0)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
@@ -248,8 +255,10 @@ class TestContext:
         assert ctx.k == 2
         assert len(ctx.window_interactions) == 2
         assert len(ctx.period_interactions) == 2
-        assert ctx.graph.num_vertices == 4
+        assert (ctx.log_period_start, ctx.log_hi) == (0, 2)
+        assert ctx.columnar_log.num_vertices == 4
         assert ctx.period_graph.num_vertices == 4
+        assert ctx.log_csr(0).num_vertices == 4
         assert ctx.elapsed_since_repartition > 0
 
     def test_placement_sees_whole_transaction(self):
@@ -283,5 +292,6 @@ class TestHashReplayInvariants:
         result = replay_method(
             tiny_workload.builder.log, HashPartitioner(4), metric_window=12 * HOUR
         )
-        result.assignment.validate(result.graph)
-        assert len(result.assignment) == result.graph.num_vertices
+        graph = build_graph(tiny_workload.builder.log)
+        result.assignment.validate(graph)
+        assert len(result.assignment) == graph.num_vertices

@@ -1,10 +1,10 @@
 """Warm-mode METIS methods through the replay engine.
 
-The PR-2 engine contracts:
+The engine contracts:
 
-* with warm mode *disabled* (the default), a ColumnarLog-backed replay
-  produces metric series bit-identical to a plain-list replay — the new
-  context fields must not perturb the cold path;
+* a plain-list replay is interned into a ColumnarLog up front, so it
+  produces results bit-identical to a ColumnarLog-backed replay, with
+  warm mode disabled (the default) and enabled alike;
 * with warm mode enabled, repartitionings still happen on the paper
   cadence, proposals cover the cumulative (METIS) or window (R-METIS)
   vertex set, and the inherited-labels property shows up as far fewer
@@ -14,6 +14,8 @@ The PR-2 engine contracts:
 import random
 
 import pytest
+
+from ctx_helpers import make_ctx
 
 from repro.core.metis_method import MetisPartitioner
 from repro.core.multireplay import MultiReplayEngine
@@ -68,17 +70,25 @@ class TestColdEquivalence:
         assert via_list.events == via_clog.events
         assert via_list.assignment.as_dict() == via_clog.assignment.as_dict()
 
-    def test_warm_flag_without_columnar_log_falls_back(self, log):
-        """warm=True on a plain list replay must still work (cold path)."""
+    def test_warm_list_input_matches_columnar_input(self, log):
+        """warm=True on a plain list replay runs warm: a list and its
+        ColumnarLog give identical results."""
+        def methods():
+            return [
+                MetisPartitioner(K, seed=1, warm=True),
+                RMetisPartitioner(K, seed=1, warm=True),
+                TRMetisPartitioner(K, seed=1, consecutive=1, cooldown=7 * DAY,
+                                   warm=True),
+            ]
+
         mw = 24 * 3600.0
-        res = MultiReplayEngine(
-            list(log), [MetisPartitioner(K, seed=1, warm=True)], metric_window=mw
-        ).run()[0]
-        assert res.events  # repartitioned on the paper cadence
-        cold = MultiReplayEngine(
-            list(log), [MetisPartitioner(K, seed=1)], metric_window=mw
-        ).run()[0]
-        assert res.series.points == cold.series.points
+        via_list = MultiReplayEngine(list(log), methods(), metric_window=mw).run()
+        via_clog = MultiReplayEngine(ColumnarLog(log), methods(), metric_window=mw).run()
+        for a, b in zip(via_list, via_clog):
+            assert a.events
+            assert a.series.points == b.series.points
+            assert a.events == b.events
+            assert a.assignment.as_dict() == b.assignment.as_dict()
 
 
 class TestWarmMetis:
@@ -90,7 +100,7 @@ class TestWarmMetis:
         ).run()[0]
         assert len(res.events) >= 3
         # the final assignment covers every vertex of the cumulative graph
-        assert set(res.assignment.vertices()) == set(res.graph.vertices())
+        assert set(res.assignment.vertices()) == set(clog.vertex_ids())
         for p in res.series.points:
             assert p.static_balance >= 1.0
 
@@ -171,11 +181,26 @@ class TestWarmRMetis:
 
     def test_warm_trmetis_runs(self, log):
         mw = 24 * 3600.0
+        clog = ColumnarLog(log)
         res = MultiReplayEngine(
-            ColumnarLog(log),
+            clog,
             [TRMetisPartitioner(K, seed=1, consecutive=1, cooldown=7 * DAY, warm=True)],
             metric_window=mw,
         ).run()[0]
-        assert set(res.assignment.vertices()) == set(res.graph.vertices())
+        assert set(res.assignment.vertices()) == set(clog.vertex_ids())
         for p in res.series.points:
             assert p.static_balance >= 1.0
+
+
+class TestWarmDirectCalls:
+    def test_warm_metis_covers_every_logged_vertex(self, log):
+        m = MetisPartitioner(K, seed=1, warm=True)
+        proposal = m.maybe_repartition(make_ctx(m, log, now=30 * DAY))
+        assert set(proposal) == {v for it in log for v in (it.src, it.dst)}
+
+    def test_warm_rmetis_covers_only_period_vertices(self, log):
+        m = RMetisPartitioner(K, seed=1, warm=True)
+        ctx = make_ctx(m, log[:40], now=30 * DAY)
+        ctx.assignment.assign(999, 0)   # streamed before the period
+        proposal = m.maybe_repartition(ctx)
+        assert set(proposal) == {v for it in log[:40] for v in (it.src, it.dst)}

@@ -7,6 +7,9 @@ figure was validated against), for any ``jobs``, and resumed runs must
 re-execute zero completed cells.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.core.registry import PAPER_ORDER, make_method
@@ -302,3 +305,37 @@ class TestIncrementalPersistence:
         finally:
             runmod.run_chunks_parallel = orig
         assert seen_on_disk and all(seen_on_disk)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the crash is injected into fork-started workers")
+    def test_crashed_worker_chunks_recompute_inline(
+            self, tiny_workload, tmp_path, monkeypatch):
+        """A worker that dies mid-chunk (OOM kill, segfault) breaks the
+        pool; the sweep recomputes the undelivered chunks inline and
+        stores every cell once."""
+        import repro.experiments.parallel as parallel
+
+        spec = ExperimentSpec(scale="tiny", methods=("hash", "fennel"), ks=(2, 4))
+        expected = run_experiment(spec, jobs=1, workload=tiny_workload).dumps()
+
+        parent = os.getpid()
+        real_chunk = parallel.replay_chunk
+
+        def crash_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "replay_chunk", crash_in_worker)
+        store = ResultStore(tmp_path / "results")
+        saved = []
+        real_save = store.save
+
+        def save(spec_, cell):
+            saved.append(cell.key)
+            return real_save(spec_, cell)
+
+        monkeypatch.setattr(store, "save", save)
+        rs = run_experiment(spec, jobs=2, workload=tiny_workload, store=store)
+        assert rs.dumps() == expected
+        assert sorted(k.label for k in saved) == sorted(k.label for k in spec.cells())

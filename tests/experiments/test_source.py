@@ -98,6 +98,21 @@ class TestTraceBitIdentity:
         for key in rs.keys():
             assert rs.cell(key) == synthetic_rs.cell(key), key.label
 
+    def test_warm_synthetic_run_equals_trace_run(self, trace_file, tiny_workload):
+        """Regression: a synthetic source hands the engine a plain
+        Interaction list, on which warm METIS used to fall back to its
+        cold path — the warm cells must equal the trace's."""
+        methods = ("metis?warm=true", "p-metis?warm=true", "tr-metis?warm=true")
+        synthetic = run_experiment(
+            ExperimentSpec(scale="tiny", workload_seed=42, methods=methods, ks=(2,)),
+            workload=tiny_workload,
+        )
+        traced = run_experiment(
+            ExperimentSpec(source=str(trace_file), methods=methods, ks=(2,)))
+        assert traced.keys() == synthetic.keys()
+        for key in traced.keys():
+            assert traced.cell(key) == synthetic.cell(key), key.label
+
     def test_text_trace_source_also_bit_identical(
         self, tiny_workload, synthetic_rs, tmp_path
     ):

@@ -3,9 +3,8 @@
 The pure-python backend is the oracle — a straight transliteration of
 the per-row loops the kernels replaced.  The numpy backend must
 reproduce its outputs *exactly*, including dict key order where
-the contract guarantees one (edge first-occurrence order feeds the
-cumulative graph's adjacency insertion order, which cold METIS results
-depend on).  Logs are arbitrary: self-loops, repeated edges, contract
+the contract guarantees one (edge first-occurrence order fixes the
+CSR adjacency order, which KL and cold METIS results depend on).  Logs are arbitrary: self-loops, repeated edges, contract
 upgrades, empty windows and single-vertex (pure self-loop) streams all
 appear in the strategy.
 
@@ -72,37 +71,39 @@ def _splits(log, cuts):
 
 
 def _batch_tuple(batch):
-    # vertex_weights order is NOT part of the contract (consumers look
-    # weights up by key); everything else is compared order-sensitively
-    return (
-        batch.first_seen,
-        batch.upgrades,
-        list(batch.edge_weights.items()),
-        dict(batch.vertex_weights),
-        batch.new_edges,
-        batch.placement_groups,
-    )
+    return (batch.new_edges, batch.placement_groups)
+
+
+def _stream_cols(log):
+    return (log.src_indices(), log.dst_indices(), log.tx_ids())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(log=columnar_logs(), cuts=st.lists(st.floats(0, 1), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_window_pass_parity(backend, log, cuts):
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     ref_state, got_state = StreamState(), StreamState()
+    new_vertices = []
     for lo, hi in _splits(log, cuts):
         ref = _pure().window_pass(*cols, lo, hi, ref_state)
         with kernels.using_backend(backend):
             got = kernels.active().window_pass(*cols, lo, hi, got_state)
         assert _batch_tuple(got) == _batch_tuple(ref)
-        assert got_state.max_vertex == ref_state.max_vertex
+        assert got_state.vertex_weight == ref_state.vertex_weight
         assert got_state.edge_seen == ref_state.edge_seen
-        assert got_state.contract_known == ref_state.contract_known
         ref_state.record_new_edges(ref.new_edges)
         got_state.record_new_edges(got.new_edges)
+        new_vertices += [d for _lo, _hi, new in ref.placement_groups for d in new]
     assert list(got_state.esrc) == list(ref_state.esrc)
     assert list(got_state.edst) == list(ref_state.edst)
+    # the windows' new vertices and the streamed activity weights are
+    # those of one stateless aggregate over the whole log
+    first_seen, _upgrades, _edges, weights = _pure().graph_batch(
+        log.timestamps(), *cols[:2], log.src_kind_codes(),
+        log.dst_kind_codes(), 0, len(log))
+    assert new_vertices == [d for d, _kind, _ts in first_seen]
+    assert ref_state.vertex_weight == [weights[d] for d in new_vertices]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -111,8 +112,7 @@ def test_window_pass_parity(backend, log, cuts):
 @settings(max_examples=60, deadline=None)
 def test_account_window_and_static_cut_parity(backend, log, cuts, k, seed):
     src, dst = log.src_indices(), log.dst_indices()
-    cols = (log.timestamps(), src, dst, log.tx_ids(),
-            log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     rng = random.Random(seed)
     shard = [rng.randrange(k) for _ in range(log.num_vertices)]
     state = StreamState()
@@ -341,12 +341,11 @@ def test_gain_buckets_match_lazy_deletion_heap(ops):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_window_is_empty_everywhere(backend):
     log = ColumnarLog([Interaction(timestamp=0.0, src=7, dst=9, tx_id=0)])
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     with kernels.using_backend(backend):
         kr = kernels.active()
         batch = kr.window_pass(*cols, 1, 1, StreamState())
-        assert _batch_tuple(batch) == ([], [], [], {}, [], [])
+        assert _batch_tuple(batch) == ([], [])
         assert kr.max_index(log.src_indices(), log.dst_indices(), 1, 1) == -1
         assert kr.account_window(log.src_indices(), log.dst_indices(),
                                  1, 1, (), [0, 0], 2) == \
@@ -363,15 +362,16 @@ def test_single_vertex_self_loop_stream(backend):
         Interaction(timestamp=float(i), src=5, dst=5, tx_id=i)
         for i in range(4)
     )
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     ref = _pure().window_pass(*cols, 0, 4, StreamState())
     with kernels.using_backend(backend):
         kr = kernels.active()
-        got = kr.window_pass(*cols, 0, 4, StreamState())
+        state = StreamState()
+        got = kr.window_pass(*cols, 0, 4, state)
         assert _batch_tuple(got) == _batch_tuple(ref)
         assert got.new_edges == []
-        assert got.first_seen == [(0, 0, 0.0)]
+        assert got.placement_groups == [(0, 1, (0,))]
+        assert state.vertex_weight == [4]
         assert kr.csr_from_window(log.src_indices(), log.dst_indices(),
                                   0, 4, "activity") == \
             _pure().csr_from_window(log.src_indices(), log.dst_indices(),

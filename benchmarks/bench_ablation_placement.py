@@ -35,7 +35,7 @@ class RandomPlacedRMetis(RMetisPartitioner):  # reprolint: disable=RL008 -- abla
 
 @pytest.mark.benchmark(group="ablation-placement")
 def test_placement_rule_ablation(benchmark, runner, out_dir):
-    log = runner.workload.builder.log
+    log = runner.workload.log
 
     def run_all():
         results = {}

@@ -19,7 +19,6 @@ from repro.analysis.execution import (
     render_throughput_vs_k,
 )
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
 
 SWEEP_METHODS = ("hash", "fennel", "metis")
@@ -29,7 +28,7 @@ MODES = ("2pc", "migrate")
 
 @pytest.mark.benchmark(group="execution-sweep")
 def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
-    log = ColumnarLog.from_interactions(runner.workload.builder.log)
+    log = runner.workload.log
     trace = tmp_path / "bench.rct"
     write_columnar(log, trace, version=3)
 

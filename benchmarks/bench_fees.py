@@ -35,7 +35,7 @@ def test_fee_attribution(benchmark, runner, out_dir):
     # regenerate a tiny traced history (the shared workload drops traces)
     result = _traced_workload(config_for_scale("tiny", 42))
     pairs = list(zip(result.chain.receipts, result.chain.traces))
-    log = result.builder.log
+    log = result.log
 
     def run_all():
         out = {}

@@ -14,10 +14,10 @@ from repro.ethereum.history import ATTACK_END, ATTACK_START
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1_growth(benchmark, runner, out_dir):
-    workload = runner.workload  # generate outside the timed section
+    log = runner.log  # generate outside the timed section
 
     points = benchmark.pedantic(
-        compute_fig1, args=(workload,), rounds=1, iterations=1
+        compute_fig1, args=(log,), rounds=1, iterations=1
     )
     write_artifact(out_dir, "fig1_growth.txt", render_fig1(points))
 

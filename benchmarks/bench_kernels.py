@@ -186,7 +186,7 @@ def _micro_loops(clog: ColumnarLog):
 
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_micro_gates(runner, bench_scale, out_dir):
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.log
     loops = _micro_loops(clog)
     backends = [b for b in kernels.available_backends() if b != "pure"]
     with kernels.using_backend("pure"):
@@ -238,7 +238,7 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
     per-backend grid totals.
     """
     trace = tmp_path / f"sweep_{bench_scale}.rct"
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.log
     write_columnar(clog, trace, version=3)
     spec = ExperimentSpec(
         methods=SWEEP_METHODS, ks=SWEEP_KS, window_hours=WINDOW_HOURS,

@@ -64,7 +64,7 @@ def _compare(log, specs, metric_window):
 
 @pytest.mark.benchmark(group="multireplay")
 def test_single_pass_beats_independent_replays(benchmark, runner, out_dir):
-    log = runner.workload.builder.log
+    log = runner.workload.log
     mw = 24 * HOUR
 
     def comparison():

@@ -45,7 +45,7 @@ def test_application_locality_sweep(benchmark, out_dir):
             history = generate_history(cfg)
             for method in ("metis", "p-metis"):
                 replay = ReplayEngine(
-                    history.builder.log, make_method(method, K, seed=1),
+                    history.log, make_method(method, K, seed=1),
                     metric_window=24 * HOUR,
                 ).run()
                 out[(p_intra, method)] = replay

@@ -20,7 +20,7 @@ K = 4
 
 @pytest.mark.benchmark(group="state-migration")
 def test_2pc_vs_migrate(benchmark, runner, out_dir):
-    log = runner.workload.builder.log[-8000:]
+    log = runner.workload.log[-8000:]
     state = runner.workload.state
 
     def run_all():

@@ -14,7 +14,7 @@ from repro.ethereum.evm import EVM
 from repro.ethereum.state import WorldState
 from repro.ethereum.transaction import Transaction
 from repro.ethereum.workload import WorkloadConfig, generate_history
-from repro.graph.builder import build_graph
+from repro.graph.builder import build_graph_columnar
 from repro.graph.snapshot import HOUR
 
 
@@ -52,14 +52,14 @@ def test_workload_generation_tiny(benchmark):
 
 @pytest.mark.benchmark(group="substrate")
 def test_graph_build_throughput(benchmark, runner):
-    log = runner.workload.builder.log
-    graph = benchmark.pedantic(lambda: build_graph(log), rounds=1, iterations=1)
+    log = runner.workload.log
+    graph = benchmark.pedantic(lambda: build_graph_columnar(log), rounds=1, iterations=1)
     assert graph.num_vertices > 1000
 
 
 @pytest.mark.benchmark(group="substrate")
 def test_replay_hash_throughput(benchmark, runner):
-    log = runner.workload.builder.log
+    log = runner.workload.log
     result = benchmark.pedantic(
         lambda: ReplayEngine(log, HashPartitioner(8), metric_window=24 * HOUR).run(),
         rounds=1, iterations=1,

@@ -61,7 +61,7 @@ def _period_bounds(clog: ColumnarLog):
 
 @pytest.mark.benchmark(group="warm-metis")
 def test_warm_repartitioning_beats_cold(runner, out_dir):
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.log
     bounds = _period_bounds(clog)
     assert len(bounds) >= 3, "benchmark timeline too short for periods"
 
@@ -165,8 +165,8 @@ def test_warm_repartitioning_beats_cold(runner, out_dir):
 @pytest.mark.benchmark(group="warm-metis")
 def test_columnar_csr_beats_digraph_rebuild(runner, out_dir):
     """The dense-index CSR build vs the digraph→collapse→CSR pipeline."""
-    log = runner.workload.builder.log
-    clog = ColumnarLog(log)
+    clog = runner.workload.log
+    log = clog.to_interactions()   # boxed input of the digraph pipeline
 
     t0 = time.perf_counter()
     g = build_graph(log)

@@ -16,6 +16,7 @@ Run:  python examples/attack_replay.py
 
 from repro import WorkloadConfig, generate_history, make_method, replay_method
 from repro.ethereum.history import ATTACK_END, ATTACK_START, month_label
+from repro.graph.builder import build_graph_columnar
 from repro.graph.snapshot import DAY, HOUR
 
 
@@ -30,10 +31,10 @@ def main() -> None:
     print("generating history with the attack window "
           f"({month_label(ATTACK_START)} - {month_label(ATTACK_END)})...")
     history = generate_history(WorkloadConfig.small(seed=11))
-    log = history.builder.log
+    log = history.log
 
     # count the throwaway accounts the attack minted
-    graph = history.graph
+    graph = build_graph_columnar(log)
     attack_vertices = sum(
         1 for v in graph.vertices()
         if ATTACK_START <= graph.first_seen(v) < ATTACK_END

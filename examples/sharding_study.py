@@ -23,11 +23,11 @@ K = 4
 def main() -> None:
     print("generating history...")
     history = generate_history(WorkloadConfig.small(seed=3))
-    log = history.builder.log[-15_000:]  # the busy tail of the history
+    log = history.log[-15_000:]  # the busy tail of the history
     cfg = ShardedExecutionConfig()
 
     # baseline: one shard executes everything locally
-    everything_local = {v: 0 for v in history.graph.vertices()}
+    everything_local = {v: 0 for v in history.log.vertex_ids()}
     base = ShardedExecution(1, everything_local, cfg).replay(
         log, arrival_rate=3.0 / cfg.service_time
     )
@@ -39,7 +39,7 @@ def main() -> None:
     rate = 3.0 * K / cfg.service_time
     for name in ("hash", "kl", "metis", "p-metis", "tr-metis"):
         method = make_method(name, k=K, seed=1)
-        replay = replay_method(history.builder.log, method, metric_window=24 * HOUR)
+        replay = replay_method(history.log, method, metric_window=24 * HOUR)
         ex = ShardedExecution(K, replay.assignment.as_dict(), cfg)
         rep = ex.replay(log, arrival_rate=rate)
         speedup = rep.throughput / base.throughput

@@ -29,7 +29,7 @@ from repro.graph.analytics import (
     powerlaw_tail_exponent,
     render_trace_stats,
 )
-from repro.graph.builder import build_graph
+from repro.graph.builder import build_graph, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import load_columnar, read_trace, write_columnar, write_trace
 from repro.graph.snapshot import HOUR
@@ -41,14 +41,15 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ethereum_trace.txt.gz"
-        n = write_trace(history.builder.log, str(path))
+        n = write_trace(history.log, str(path))
         print(f"  wrote {n} interactions to {path.name} "
               f"({path.stat().st_size / 1024:.0f} KiB gzipped)")
 
         log = list(read_trace(str(path)))
         graph = build_graph(log)
-        assert graph.num_vertices == history.graph.num_vertices
-        assert graph.num_edges == history.graph.num_edges
+        original = build_graph_columnar(history.log)
+        assert graph.num_vertices == original.num_vertices
+        assert graph.num_edges == original.num_edges
         print(f"  re-imported: {graph.num_vertices} vertices, "
               f"{graph.num_edges} edges — identical to the original\n")
 

@@ -12,10 +12,10 @@ Quickstart::
 
     history = generate_history(WorkloadConfig.small())
     method = make_method("metis", k=2, seed=1)
-    result = replay_method(history.builder.log, method)
+    result = replay_method(history.log, method)
     print(result.series.points[-1], result.total_moves)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the README's "Layout" table has the full inventory):
 
 * :mod:`repro.graph` — blockchain-graph substrate;
 * :mod:`repro.ethereum` — accounts, EVM-lite, chain, synthetic workload;
@@ -51,7 +51,7 @@ from repro.experiments import (
     TraceSource,
     run_experiment,
 )
-from repro.graph.builder import GraphBuilder, Interaction
+from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import load_columnar, load_trace_log, write_columnar
 from repro.graph.digraph import VertexKind, WeightedDiGraph
@@ -83,7 +83,6 @@ __all__ = [
     "replay_method",
     "MultiReplayEngine",
     "replay_methods",
-    "GraphBuilder",
     "Interaction",
     "ColumnarLog",
     "WeightedDiGraph",

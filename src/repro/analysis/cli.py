@@ -47,8 +47,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="workload scale (default: small)")
     parser.add_argument("--seed", type=int, default=42, help="workload seed")
     parser.add_argument("--source", default=None, metavar="TRACE",
-                        help="replay a trace file (text v1 or binary "
-                        "rctrace v2) instead of the synthetic workload; "
+                        help="read the interaction log of every command "
+                        "from a trace file (text v1 or binary rctrace "
+                        "v2/v3) instead of the synthetic workload; "
                         "binary traces mmap per worker (see repro-trace "
                         "export --format binary)")
     parser.add_argument("--k", type=int, default=None,
@@ -85,12 +86,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.error("a command is required (or use --list-methods)")
 
-    if args.source and args.command in ("fig1", "fig2", "all"):
-        parser.error(
-            f"{args.command} needs the synthetic substrate (chain/state); "
-            "--source only applies to replay-driven commands "
-            "(sweep, fig3, fig4, fig5, pitfall)"
-        )
     if args.execution and args.command != "sweep":
         parser.error("--execution only applies to 'sweep'")
     runner = ExperimentRunner(
@@ -186,11 +181,11 @@ def _run_one(name: str, runner: ExperimentRunner, args) -> None:
     if name == "fig1":
         from repro.analysis.fig1 import compute_fig1, render_fig1
 
-        print(render_fig1(compute_fig1(runner.workload)))
+        print(render_fig1(compute_fig1(runner.log)))
     elif name == "fig2":
         from repro.analysis.fig2 import compute_fig2, render_fig2
 
-        report = compute_fig2(runner.workload)
+        report = compute_fig2(runner.log)
         print(render_fig2(report) if report else "fig2: no early contract found")
     elif name == "fig3":
         from repro.analysis.fig3 import compute_fig3, render_fig3

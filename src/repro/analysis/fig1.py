@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Set, Tuple
 
+from repro import kernels
 from repro.analysis.render import ascii_table, sparkline
 from repro.ethereum.history import ATTACK_END, ATTACK_START, landmarks, month_label
-from repro.ethereum.workload import WorkloadResult
+from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import DAY
 
 
@@ -27,43 +28,45 @@ class GrowthPoint:
     interactions: int
 
 
-def compute_fig1(workload: WorkloadResult, sample_days: float = 30.0) -> List[GrowthPoint]:
-    """Cumulative graph size sampled every ``sample_days``."""
-    log = workload.builder.log
-    if not log:
-        return []
-    points: List[GrowthPoint] = []
-    seen_vertices: Set[int] = set()
-    seen_edges: Set[Tuple[int, int]] = set()
-    interactions = 0
+def compute_fig1(log: ColumnarLog, sample_days: float = 30.0) -> List[GrowthPoint]:
+    """Cumulative graph size sampled every ``sample_days``.
 
-    next_sample = log[0].timestamp + sample_days * DAY
-    for it in log:
-        while it.timestamp >= next_sample:
-            points.append(
-                GrowthPoint(
-                    ts=next_sample,
-                    label=month_label(next_sample),
-                    vertices=len(seen_vertices),
-                    edges=len(seen_edges),
-                    interactions=interactions,
-                )
+    A sample at ``ts`` counts the rows before ``ts``; the last sample is
+    the first one past the log's end.  Interning is in first-appearance
+    order, so the distinct vertices of a prefix number its highest dense
+    index + 1 (as in :func:`~repro.graph.analytics.compute_window_stats`);
+    distinct edges are distinct dense ``(src, dst)`` pairs.
+    """
+    n = len(log)
+    if n == 0:
+        return []
+    max_index = kernels.active().max_index
+    src = log.src_indices()
+    dst = log.dst_indices()
+    step = sample_days * DAY
+    last_ts = log.last_timestamp
+    points: List[GrowthPoint] = []
+    seen_max = -1
+    seen_edges: Set[Tuple[int, int]] = set()
+    lo = 0
+    next_sample = log.first_timestamp + step
+    while True:
+        hi = log.index_at(next_sample) if next_sample <= last_ts else n
+        seen_max = max(seen_max, max_index(src, dst, lo, hi))
+        seen_edges.update(zip(src[lo:hi], dst[lo:hi]))
+        lo = hi
+        points.append(
+            GrowthPoint(
+                ts=next_sample,
+                label=month_label(next_sample),
+                vertices=seen_max + 1,
+                edges=len(seen_edges),
+                interactions=hi,
             )
-            next_sample += sample_days * DAY
-        seen_vertices.add(it.src)
-        seen_vertices.add(it.dst)
-        seen_edges.add((it.src, it.dst))
-        interactions += 1
-    points.append(
-        GrowthPoint(
-            ts=next_sample,
-            label=month_label(next_sample),
-            vertices=len(seen_vertices),
-            edges=len(seen_edges),
-            interactions=interactions,
         )
-    )
-    return points
+        if hi == n:
+            return points
+        next_sample += step
 
 
 def attack_growth_factor(points: List[GrowthPoint]) -> float:

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.render import ascii_table
 from repro.analysis.runner import ExperimentRunner
 from repro.core.registry import PAPER_ORDER
-from repro.graph.columnar import as_columnar
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 
@@ -43,8 +42,8 @@ def compute_pitfall(
     """Throughput table for each method's final assignment at shard
     count ``k``, normalised to the single-shard baseline."""
     cfg = config or ShardedExecutionConfig()
-    # synthetic or trace-backed; every replay below runs the log tail
-    log = as_columnar(runner.log)
+    # every replay below runs the log tail
+    log = runner.log
     lo = max(0, len(log) - max_interactions)
     hi = len(log)
 
@@ -98,14 +97,8 @@ def compute_pitfall(
 
 
 def _vertex_universe(runner: ExperimentRunner) -> List[int]:
-    """Every vertex id of the replayed history.
-
-    Synthetic runners read the workload graph (first-insertion order —
-    unchanged, so seeded random assignments stay reproducible);
-    trace-backed runners read the log's interned vertex table.
-    """
-    if runner.source is None:
-        return list(runner.workload.graph.vertices())
+    """Every vertex id of the replayed history, in first-appearance
+    order (fixed, so seeded random assignments stay reproducible)."""
     return list(runner.log.vertex_ids())
 
 

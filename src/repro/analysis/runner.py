@@ -63,8 +63,7 @@ class ExperimentRunner:
                 instead of the synthetic ``scale``/``seed`` workload.
                 Trace-backed runners have a :attr:`log` but no
                 :attr:`workload` (there is no chain/state behind a
-                trace), so figure drivers needing the substrate
-                (fig1/fig2) require a synthetic runner.
+                trace); every figure driver reads only :attr:`log`.
             execution: optional :class:`ExecutionSpec` (or its string
                 form, e.g. ``"mode=migrate"``); every spec this runner
                 builds carries it, so cells gain throughput/latency
@@ -113,7 +112,7 @@ class ExperimentRunner:
 
         For trace-backed runners this opens the trace once (an O(1)
         mmap for binary rctrace files); otherwise it is the synthetic
-        workload's boxed log.  A preloaded
+        workload's log.  A preloaded
         :class:`~repro.graph.columnar.ColumnarLog` can be injected by
         assigning ``runner._log`` (mirrors ``runner._workload``).
         """
@@ -121,7 +120,7 @@ class ExperimentRunner:
             if self.source is not None:
                 self._log = self.source.load()
             else:
-                self._log = self.workload.builder.log
+                self._log = self.workload.log
         return self._log
 
     # -- declarative surface -------------------------------------------

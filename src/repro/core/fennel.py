@@ -16,8 +16,8 @@ We stream over *transaction endpoints* (what is known when the vertex
 first appears) plus the vertex's accumulated neighborhood if it was
 placed earlier in the same window — faithful to the streaming model.
 
-This method is an extension beyond the paper (flagged in DESIGN.md and
-EXPERIMENTS.md); benchmarks compare it against the paper's five.
+This method is an extension beyond the paper; benchmarks compare it
+against the paper's five.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ class ReplayResult:
     """Everything a replay produced.
 
     The replayed graph is not part of it; build it from the log with
-    :func:`~repro.graph.builder.build_graph` when a caller needs it.
+    :func:`~repro.graph.builder.build_graph_columnar` when a caller
+    needs it.
     """
 
     method: str
@@ -109,9 +110,9 @@ class ReplayEngine:
         end_ts: Optional[float] = None,
     ):
         """Args:
-            interactions: the full, time-ordered interaction log (e.g.
-                ``workload_result.builder.log``) or a
-                :class:`~repro.graph.columnar.ColumnarLog`.
+            interactions: the full, time-ordered interaction log, a
+                :class:`~repro.graph.columnar.ColumnarLog` (e.g.
+                ``workload_result.log``) or an ``Interaction`` sequence.
             method: the partitioning method under study.
             metric_window: sampling window width in seconds (paper: 4h).
             end_ts: replay horizon; defaults to one second past the

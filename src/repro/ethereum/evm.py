@@ -21,8 +21,7 @@ the following word.  The :func:`assemble` helper turns a symbolic program
 One deliberate simplification: ``CREATE`` takes a *code template id*
 (registered on the VM) from the stack instead of reading init code from
 memory — EVM-lite has no byte-addressable memory because nothing in the
-paper's analysis needs it.  The template registry is documented in
-DESIGN.md as part of the substitution.
+paper's analysis needs it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Calibrated synthetic Ethereum history generator.
 
-This module substitutes for the paper's real trace (see DESIGN.md §2).
-It drives the full substrate — world state, EVM-lite, blocks, chain —
-to produce a transaction history whose *statistical shape* matches the
-published characteristics of the Aug-2015 → Jan-2018 Ethereum trace:
+This module substitutes for the paper's real Ethereum trace.  It drives
+the full substrate — world state, EVM-lite, blocks, chain — to produce
+a transaction history whose *statistical shape* matches the published
+characteristics of the Aug-2015 → Jan-2018 Ethereum trace:
 
 * **growth phases** (paper Fig. 1): transaction intensity grows
   exponentially from genesis to the autumn-2016 attack, bursts during
@@ -39,7 +39,8 @@ from repro.ethereum.state import WorldState
 from repro.ethereum.trace import TransactionTrace
 from repro.ethereum.transaction import Transaction
 from repro.ethereum.types import Address, Wei
-from repro.graph.builder import GraphBuilder, Interaction
+from repro.graph.builder import Interaction
+from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import DAY, HOUR
 
 
@@ -127,7 +128,7 @@ class WorkloadConfig:
         memory: drive it through
         :func:`repro.ethereum.export.export_workload_trace`, which
         streams interactions into a chunked rctrace writer instead of
-        boxing them in a :class:`~repro.graph.builder.GraphBuilder`.
+        holding them in a :class:`~repro.graph.columnar.ColumnarLog`.
         """
         return cls(seed=seed, total_transactions=2_000_000, step_hours=1.0)
 
@@ -152,12 +153,8 @@ class WorkloadResult:
     """Everything the generator produced."""
 
     config: WorkloadConfig
-    builder: GraphBuilder
+    log: ColumnarLog
     chain: Blockchain
-
-    @property
-    def graph(self):
-        return self.builder.graph
 
     @property
     def num_transactions(self) -> int:
@@ -203,13 +200,13 @@ _HUB_PROGRAMS = {
 class WorkloadGenerator:
     """Drives the chain to produce the synthetic history.
 
-    ``interaction_sink`` redirects the generated interaction stream:
-    when set, every interaction is handed to the callable (in time
-    order) *instead of* being accumulated in :attr:`builder`, so the
-    generator runs in bounded memory — chain state and community
-    registries only, no boxed log, no cumulative graph.  The stream is
-    identical either way: the sink replaces only the storage, never
-    the RNG-driven generation path.  This is the Ethereum-scale trace
+    Every generated interaction is handed, in time order, to one sink:
+    by default :attr:`log`'s ``append``, so the history lands in a
+    :class:`~repro.graph.columnar.ColumnarLog`.  ``interaction_sink``
+    replaces that storage, never the RNG-driven generation path, so
+    the stream is identical either way; with a sink the generator runs
+    in bounded memory (chain state and community registries only) and
+    :attr:`log` stays empty.  This is the Ethereum-scale trace
     ingestion hook (:func:`repro.ethereum.export.export_workload_trace`).
     """
 
@@ -221,8 +218,8 @@ class WorkloadGenerator:
         self.config = config
         self.rng = random.Random(config.seed)
         self.state = WorldState()
-        self.builder = GraphBuilder()
-        self._interaction_sink = interaction_sink
+        self.log = ColumnarLog()
+        self._interaction_sink = interaction_sink or self.log.append
         self.chain = Blockchain(
             self.state, trace_sink=self._on_trace, keep_traces=False
         )
@@ -359,10 +356,7 @@ class WorkloadGenerator:
     def _on_trace(self, trace: TransactionTrace) -> None:
         sink = self._interaction_sink
         for interaction in trace.to_interactions():
-            if sink is not None:
-                sink(interaction)
-            else:
-                self.builder.add(interaction)
+            sink(interaction)
             for endpoint in (interaction.src, interaction.dst):
                 comm_idx = self.community_of.get(endpoint)
                 if comm_idx is not None:
@@ -541,7 +535,7 @@ class WorkloadGenerator:
     # main loop
 
     def run(self, progress: Optional[Callable[[int, int], None]] = None) -> WorkloadResult:
-        """Generate the whole history; returns builder + chain."""
+        """Generate the whole history; returns log + chain."""
         cfg = self.config
         ts = cfg.start_ts
 
@@ -607,7 +601,7 @@ class WorkloadGenerator:
             if progress is not None:
                 progress(executed, cfg.total_transactions)
 
-        return WorkloadResult(config=cfg, builder=self.builder, chain=self.chain)
+        return WorkloadResult(config=cfg, log=self.log, chain=self.chain)
 
 
 def generate_history(config: Optional[WorkloadConfig] = None) -> WorkloadResult:

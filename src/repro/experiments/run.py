@@ -137,7 +137,7 @@ def run_experiment(
                     f"spec's {spec.workload_config()} ({spec.workload_id()}); "
                     "results would be stored under the wrong identity"
                 )
-            handle = workload.builder.log
+            handle = workload.log
         window = spec.window_seconds
         def collect(cell: CellResult) -> None:
             done[cell.key] = cell

@@ -64,7 +64,7 @@ class LogSource:
     kind: str = ""
 
     def load(self):
-        """The interaction log (a sequence or :class:`ColumnarLog`)."""
+        """The interaction log, as a :class:`ColumnarLog`."""
         raise NotImplementedError
 
     @property
@@ -110,7 +110,7 @@ class SyntheticSource(LogSource):
         return generate_history(self.workload_config())
 
     def load(self):
-        return self.generate().builder.log
+        return self.generate().log
 
     @property
     def identity(self) -> str:

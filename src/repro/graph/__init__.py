@@ -9,13 +9,14 @@ callee) occurred.
 Public surface:
 
 * :class:`~repro.graph.digraph.WeightedDiGraph` — the graph container;
-* :class:`~repro.graph.builder.GraphBuilder` — incremental construction
-  from interaction streams;
+* :class:`~repro.graph.builder.Interaction` — one caller → callee event,
+  and :func:`~repro.graph.builder.build_graph_columnar`, which folds a
+  row range of a log into a graph;
 * :class:`~repro.graph.columnar.ColumnarLog` — parallel-array log with
-  interned vertex ids and O(log N) window slicing (the multi-method
-  replay substrate);
-* :class:`~repro.graph.snapshot.WindowIndex` — time-window views
-  (full/cumulative and reduced/window graphs used by METIS vs R-METIS);
+  interned vertex ids and O(log N) window slicing: the one interaction
+  log, from the workload generator and trace files to the replays and
+  figures;
+* :mod:`~repro.graph.snapshot` — the experiments' time constants;
 * :mod:`~repro.graph.undirected` — collapse to the weighted undirected
   graph fed to partitioners;
 * :mod:`~repro.graph.io` — trace readers/writers in the paper's published
@@ -24,18 +25,15 @@ Public surface:
 """
 
 from repro.graph.digraph import VertexKind, WeightedDiGraph
-from repro.graph.builder import GraphBuilder, Interaction
+from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
-from repro.graph.snapshot import WindowIndex
 from repro.graph.undirected import UndirectedView, collapse_to_undirected
 
 __all__ = [
     "VertexKind",
     "WeightedDiGraph",
-    "GraphBuilder",
     "Interaction",
     "ColumnarLog",
-    "WindowIndex",
     "UndirectedView",
     "collapse_to_undirected",
 ]

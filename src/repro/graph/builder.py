@@ -1,16 +1,12 @@
-"""Incremental construction of the blockchain graph from interactions.
+"""Construction of the blockchain graph from interactions.
 
 An *interaction* is a single caller → callee event: a currency transfer
 from an account, a contract activation, an internal call or an internal
 transfer (paper §II-B).  A transaction produces one or more interactions
-(one per message call in its trace).
-
-The builder consumes a time-ordered stream of interactions and maintains:
-
-* the cumulative :class:`~repro.graph.digraph.WeightedDiGraph` (what the
-  full-graph METIS method partitions);
-* a log of interactions for time-window queries (what R-METIS / TR-METIS
-  partition) via :class:`~repro.graph.snapshot.WindowIndex`.
+(one per message call in its trace).  Interaction streams are stored in
+a :class:`~repro.graph.columnar.ColumnarLog`; the functions here fold a
+stream, or a row range of a columnar log, into a standalone
+:class:`~repro.graph.digraph.WeightedDiGraph`.
 
 Weight conventions (paper §II-B/§II-C):
 
@@ -23,7 +19,7 @@ Weight conventions (paper §II-B/§II-C):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.graph.digraph import VertexKind, WeightedDiGraph
 
@@ -51,88 +47,6 @@ class Interaction:
     src_kind: VertexKind = VertexKind.ACCOUNT
     dst_kind: VertexKind = VertexKind.ACCOUNT
     tx_id: int = -1
-
-
-class GraphBuilder:
-    """Builds the cumulative blockchain graph from an interaction stream.
-
-    The builder also retains the raw interaction log (timestamps, edges
-    and tx ids) so callers can cheaply derive *reduced* graphs over time
-    windows, as the R-METIS method requires.  The log is append-only and
-    time-ordered; feeding an out-of-order interaction raises ValueError.
-    """
-
-    def __init__(self) -> None:
-        self.graph = WeightedDiGraph()
-        self._log: List[Interaction] = []
-        self._last_ts: float = float("-inf")
-
-    # ------------------------------------------------------------------
-
-    def add(self, interaction: Interaction) -> None:
-        """Apply one interaction to the cumulative graph and the log."""
-        if interaction.timestamp < self._last_ts:
-            raise ValueError(
-                f"out-of-order interaction: {interaction.timestamp} < {self._last_ts}"
-            )
-        self._last_ts = interaction.timestamp
-        g = self.graph
-        g.add_vertex(interaction.src, interaction.src_kind, 0, interaction.timestamp)
-        g.add_vertex(interaction.dst, interaction.dst_kind, 0, interaction.timestamp)
-        g.add_vertex_weight(interaction.src, 1)
-        if interaction.dst != interaction.src:
-            g.add_vertex_weight(interaction.dst, 1)
-        g.add_edge(interaction.src, interaction.dst, 1)
-        self._log.append(interaction)
-
-    def add_many(self, interactions: Iterable[Interaction]) -> int:
-        """Apply a stream of interactions; returns how many were added."""
-        n = 0
-        for it in interactions:
-            self.add(it)
-            n += 1
-        return n
-
-    # ------------------------------------------------------------------
-
-    @property
-    def log(self) -> Sequence[Interaction]:
-        """The append-only, time-ordered interaction log."""
-        return self._log
-
-    @property
-    def num_interactions(self) -> int:
-        return len(self._log)
-
-    @property
-    def last_timestamp(self) -> float:
-        """Timestamp of the most recent interaction (-inf if empty)."""
-        return self._last_ts
-
-    def interactions_between(self, start: float, end: float) -> Iterator[Interaction]:
-        """Interactions with start <= timestamp < end (binary-searched)."""
-        lo = _bisect_ts(self._log, start)
-        for i in range(lo, len(self._log)):
-            it = self._log[i]
-            if it.timestamp >= end:
-                break
-            yield it
-
-    def window_graph(self, start: float, end: float) -> WeightedDiGraph:
-        """The *reduced* graph of interactions in [start, end).
-
-        This is what R-METIS partitions: "all accounts, contracts, and
-        their interactions within a fixed window of time".
-        """
-        return build_graph(self.interactions_between(start, end))
-
-    def graph_as_of(self, end: float) -> WeightedDiGraph:
-        """The cumulative graph rebuilt from interactions before ``end``.
-
-        Used by the Fig. 1 analysis to sample graph size over time
-        without mutating the live graph.
-        """
-        return build_graph(self.interactions_between(float("-inf"), end))
 
 
 def build_graph(interactions: Iterable[Interaction]) -> WeightedDiGraph:
@@ -207,15 +121,3 @@ def group_by_transaction(
     if bucket:
         assert current_id is not None
         yield current_id, bucket
-
-
-def _bisect_ts(log: Sequence[Interaction], ts: float) -> int:
-    """Index of the first interaction with timestamp >= ts."""
-    lo, hi = 0, len(log)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if log[mid].timestamp < ts:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

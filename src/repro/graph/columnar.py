@@ -22,8 +22,8 @@ index in first-appearance order; dense indices are what array-based
 consumers (partitioners, accelerator kernels) want, and
 :meth:`vertex_id` / :meth:`vertex_index` translate both ways.
 
-The log is append-only and must stay time-ordered, mirroring
-:class:`~repro.graph.builder.GraphBuilder`'s contract.
+The log is append-only and must stay time-ordered: :meth:`append`
+rejects an interaction older than the tail.
 
 Two construction paths share the same read surface:
 

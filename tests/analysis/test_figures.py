@@ -15,6 +15,8 @@ from repro.analysis.fig4 import compute_fig4, median_table, render_fig4
 from repro.analysis.fig5 import compute_fig5, hash_k8_multishard, render_fig5
 from repro.analysis.runner import ExperimentRunner, config_for_scale
 from repro.ethereum.history import ATTACK_END, ATTACK_START
+from repro.graph.builder import build_graph_columnar
+from repro.graph.columnar import ColumnarLog
 
 
 class TestRunner:
@@ -39,19 +41,19 @@ class TestRunner:
 
 class TestFig1:
     def test_growth_monotone(self, small_workload):
-        points = compute_fig1(small_workload)
+        points = compute_fig1(small_workload.log)
         verts = [p.vertices for p in points]
         edges = [p.edges for p in points]
         assert verts == sorted(verts)
         assert edges == sorted(edges)
 
     def test_attack_jump(self, small_workload):
-        points = compute_fig1(small_workload)
+        points = compute_fig1(small_workload.log)
         factor = attack_growth_factor(points)
         assert factor > 3.0  # paper: order of magnitude at full scale
 
     def test_superlinear_post_attack(self, small_workload):
-        points = compute_fig1(small_workload)
+        points = compute_fig1(small_workload.log)
         post = [p for p in points if p.ts > ATTACK_END]
         growth = post[-1].interactions - post[0].interactions
         pre = [p for p in points if p.ts <= ATTACK_START]
@@ -59,32 +61,28 @@ class TestFig1:
         assert growth > pre_growth
 
     def test_render(self, small_workload):
-        out = render_fig1(compute_fig1(small_workload))
+        out = render_fig1(compute_fig1(small_workload.log))
         assert "Fig. 1" in out
         assert "vertices (log)" in out
 
     def test_empty_workload(self):
-        from repro.ethereum.workload import WorkloadResult, WorkloadConfig
-        from repro.graph.builder import GraphBuilder
-        from repro.ethereum.chain import Blockchain
-
-        empty = WorkloadResult(WorkloadConfig(), GraphBuilder(), Blockchain())
-        assert compute_fig1(empty) == []
+        assert compute_fig1(ColumnarLog()) == []
 
 
 class TestFig2:
     def test_subgraph_extracted(self, small_workload):
-        report = compute_fig2(small_workload)
+        report = compute_fig2(small_workload.log)
         assert report is not None
         assert report.graph.num_vertices > 2
         assert report.num_contracts >= 1
         assert report.center in report.graph
 
     def test_no_orphan_contracts_in_full_graph(self, small_workload):
-        assert contracts_without_incoming(small_workload.graph) == 0
+        graph = build_graph_columnar(small_workload.log)
+        assert contracts_without_incoming(graph) == 0
 
     def test_render(self, small_workload):
-        out = render_fig2(compute_fig2(small_workload))
+        out = render_fig2(compute_fig2(small_workload.log))
         assert "Fig. 2" in out
         assert "->" in out
 

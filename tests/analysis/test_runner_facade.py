@@ -42,7 +42,7 @@ class TestParameterisedCaching:
         from repro.core.registry import make_method
 
         fresh = ReplayEngine(
-            tiny_workload.builder.log,
+            tiny_workload.log,
             make_method("tr-metis", 2, seed=1, **kwargs),
             metric_window=24 * HOUR,
         ).run()

@@ -2,7 +2,7 @@
 
 Workloads are expensive to generate, so the tiny and small histories
 are session-scoped and shared by every test module; tests must not
-mutate them (builders/logs are treated as read-only — replays build
+mutate them (their logs are treated as read-only — replays build
 their own graphs).
 """
 

@@ -75,7 +75,7 @@ class TestPlacement:
 class TestReplayBehavior:
     def test_zero_moves(self, tiny_workload):
         result = replay_method(
-            tiny_workload.builder.log, FennelPartitioner(4, seed=1),
+            tiny_workload.log, FennelPartitioner(4, seed=1),
             metric_window=12 * HOUR,
         )
         assert result.total_moves == 0
@@ -84,7 +84,7 @@ class TestReplayBehavior:
     def test_beats_hash_on_cut(self, small_workload):
         """The point of the extension: edge-aware streaming placement
         cuts far fewer edges than hashing at the same zero-move cost."""
-        log = small_workload.builder.log
+        log = small_workload.log
         fennel = replay_method(log, make_method("fennel", 4, seed=1),
                                metric_window=24 * HOUR)
         hashing = replay_method(log, make_method("hash", 4, seed=1),
@@ -98,7 +98,7 @@ class TestReplayBehavior:
 
     def test_balance_stays_bounded(self, small_workload):
         result = replay_method(
-            small_workload.builder.log, make_method("fennel", 4, seed=1),
+            small_workload.log, make_method("fennel", 4, seed=1),
             metric_window=24 * HOUR,
         )
         assert result.series.points[-1].static_balance < 1.5

@@ -70,7 +70,7 @@ def assert_results_identical(single, multi):
 class TestEquivalence:
     def test_all_deterministic_methods_match_single_runs(self, tiny_workload):
         """MultiReplayEngine == N x ReplayEngine for the full method set."""
-        log = tiny_workload.builder.log
+        log = tiny_workload.log
         mw = 24 * HOUR
         singles = [
             ReplayEngine(log, make_method(n, 4, seed=1), metric_window=mw).run()
@@ -108,7 +108,7 @@ class TestEquivalence:
         assert late.total_moves == 2
 
     def test_mixed_shard_counts_in_one_pass(self, tiny_workload):
-        log = tiny_workload.builder.log
+        log = tiny_workload.log
         mw = 24 * HOUR
         specs = [("hash", 2), ("hash", 8), ("tr-metis", 2), ("tr-metis", 8)]
         singles = [
@@ -122,7 +122,7 @@ class TestEquivalence:
             assert_results_identical(s, m)
 
     def test_columnar_log_input_matches_list_input(self, tiny_workload):
-        log = tiny_workload.builder.log
+        log = tiny_workload.log
         mw = 24 * HOUR
         from_list = MultiReplayEngine(
             log, [make_method("tr-metis", 4, seed=1)], metric_window=mw
@@ -134,9 +134,9 @@ class TestEquivalence:
             assert_results_identical(s, m)
 
     def test_weight_caches_consistent_with_graph(self, tiny_workload):
-        graph = build_graph(tiny_workload.builder.log)
+        graph = build_graph(tiny_workload.log)
         for result in replay_methods(
-            tiny_workload.builder.log,
+            tiny_workload.log,
             [make_method(n, 4, seed=1) for n in ("hash", "tr-metis")],
             metric_window=24 * HOUR,
         ):

@@ -283,15 +283,15 @@ class TestContext:
 class TestHashReplayInvariants:
     def test_hash_never_moves(self, tiny_workload):
         result = replay_method(
-            tiny_workload.builder.log, HashPartitioner(4), metric_window=12 * HOUR
+            tiny_workload.log, HashPartitioner(4), metric_window=12 * HOUR
         )
         assert result.total_moves == 0
         assert result.events == []
 
     def test_assignment_validates(self, tiny_workload):
         result = replay_method(
-            tiny_workload.builder.log, HashPartitioner(4), metric_window=12 * HOUR
+            tiny_workload.log, HashPartitioner(4), metric_window=12 * HOUR
         )
-        graph = build_graph(tiny_workload.builder.log)
+        graph = build_graph(tiny_workload.log)
         result.assignment.validate(graph)
         assert len(result.assignment) == graph.num_vertices

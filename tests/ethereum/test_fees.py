@@ -141,7 +141,7 @@ class TestAccountReplay:
         pairs = list(zip(result.chain.receipts, result.chain.traces))
         assert pairs
 
-        log = result.builder.log
+        log = result.log
         shares = {}
         for name in ("hash", "metis"):
             replay = replay_method(log, make_method(name, 4, seed=1),

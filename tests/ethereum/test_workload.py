@@ -11,6 +11,7 @@ from repro.ethereum.history import (
     ts_to_date,
 )
 from repro.ethereum.workload import WorkloadConfig, WorkloadGenerator, generate_history
+from repro.graph.builder import build_graph
 from repro.graph.digraph import VertexKind
 from repro.graph.snapshot import DAY
 
@@ -65,18 +66,18 @@ class TestGeneration:
         assert tiny_workload.chain.verify_chain()
 
     def test_log_is_time_ordered(self, tiny_workload):
-        log = tiny_workload.builder.log
+        log = tiny_workload.log
         assert all(a.timestamp <= b.timestamp for a, b in zip(log, log[1:]))
 
     def test_graph_has_contracts_and_accounts(self, tiny_workload):
-        g = tiny_workload.graph
+        g = build_graph(tiny_workload.log)
         assert g.count_kind(VertexKind.CONTRACT) > 0
         assert g.count_kind(VertexKind.ACCOUNT) > 0
 
     def test_no_contract_without_incoming_edge(self, small_workload):
         """The paper: 'in the complete graph, there is no contract
         without at least one incoming edge'."""
-        g = small_workload.graph
+        g = build_graph(small_workload.log)
         orphans = [
             v for v in g.vertices()
             if g.vertex_kind(v) is VertexKind.CONTRACT and g.in_degree(v) == 0
@@ -86,17 +87,34 @@ class TestGeneration:
     def test_determinism(self):
         a = generate_history(WorkloadConfig.tiny(seed=9))
         b = generate_history(WorkloadConfig.tiny(seed=9))
-        assert len(a.builder.log) == len(b.builder.log)
+        assert len(a.log) == len(b.log)
         assert all(
             (x.src, x.dst, x.tx_id) == (y.src, y.dst, y.tx_id)
-            for x, y in zip(a.builder.log, b.builder.log)
+            for x, y in zip(a.log, b.log)
         )
+
+    def test_generation_keeps_no_boxed_interactions(self):
+        """The history is stored columnar: generating it leaves no
+        ``Interaction`` object alive (a boxed log would leave one per
+        row)."""
+        import gc
+
+        from repro.graph.builder import Interaction
+
+        def live_interactions():
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if type(o) is Interaction)
+
+        before = live_interactions()
+        result = generate_history(WorkloadConfig.tiny(42))
+        assert len(result.log) > 0
+        assert live_interactions() - before == 0
 
     def test_seed_changes_history(self):
         a = generate_history(WorkloadConfig.tiny(seed=1))
         b = generate_history(WorkloadConfig.tiny(seed=2))
-        sig_a = [(x.src, x.dst) for x in a.builder.log[:200]]
-        sig_b = [(x.src, x.dst) for x in b.builder.log[:200]]
+        sig_a = [(x.src, x.dst) for x in a.log[:200]]
+        sig_b = [(x.src, x.dst) for x in b.log[:200]]
         assert sig_a != sig_b
 
 
@@ -104,7 +122,7 @@ class TestCalibration:
     """Shape assertions against the paper's Fig. 1 description."""
 
     def test_growth_is_superlinear_overall(self, small_workload):
-        log = small_workload.builder.log
+        log = small_workload.log
         span = log[-1].timestamp - log[0].timestamp
         first_half = sum(1 for it in log if it.timestamp < log[0].timestamp + span / 2)
         second_half = len(log) - first_half
@@ -113,7 +131,7 @@ class TestCalibration:
         assert second_half > 2 * first_half
 
     def test_attack_mints_throwaway_vertices(self, small_workload):
-        g = small_workload.graph
+        g = build_graph(small_workload.log)
         in_attack = [
             v for v in g.vertices() if ATTACK_START <= g.first_seen(v) < ATTACK_END
         ]
@@ -122,7 +140,7 @@ class TestCalibration:
         assert len(in_attack) > 0.25 * g.num_vertices
 
     def test_attack_vertices_are_dormant(self, small_workload):
-        g = small_workload.graph
+        g = build_graph(small_workload.log)
         attack_vs = [
             v for v in g.vertices() if ATTACK_START <= g.first_seen(v) < ATTACK_END
         ]
@@ -130,7 +148,7 @@ class TestCalibration:
         assert dormant > 0.6 * len(attack_vs)
 
     def test_degree_distribution_heavy_tailed(self, small_workload):
-        g = small_workload.graph
+        g = build_graph(small_workload.log)
         degrees = sorted((g.degree(v) for v in g.vertices()), reverse=True)
         top_share = sum(degrees[: max(1, len(degrees) // 100)]) / sum(degrees)
         assert top_share > 0.10  # top 1% of vertices carry >10% of degree
@@ -138,7 +156,7 @@ class TestCalibration:
     def test_multi_interaction_transactions_exist(self, tiny_workload):
         from repro.graph.builder import group_by_transaction
 
-        sizes = [len(b) for _, b in group_by_transaction(tiny_workload.builder.log)]
+        sizes = [len(b) for _, b in group_by_transaction(tiny_workload.log)]
         assert max(sizes) >= 3  # mixers/spammers fan out
 
     def test_community_structure_is_present(self, small_workload):
@@ -146,7 +164,7 @@ class TestCalibration:
         gen = WorkloadGenerator(WorkloadConfig.tiny(seed=3))
         result = gen.run()
         intra = inter = 0
-        for it in result.builder.log:
+        for it in result.log:
             c1 = gen.community_of.get(it.src)
             c2 = gen.community_of.get(it.dst)
             if c1 is None or c2 is None:
@@ -173,20 +191,18 @@ class TestLargeTierAndStreamingExport:
 
     def test_interaction_sink_sees_the_exact_builder_stream(self):
         """The sink hook must only redirect storage: same interactions,
-        same order, no boxed log left behind."""
+        same order, nothing left in the generator's own log."""
         cfg = WorkloadConfig.tiny(seed=11)
         baseline = WorkloadGenerator(cfg).run()
 
         streamed = []
         gen = WorkloadGenerator(cfg, interaction_sink=streamed.append)
         gen.run()
-        assert streamed == list(baseline.builder.log)
-        assert len(gen.builder.log) == 0          # nothing accumulated
-        assert gen.builder.graph.num_vertices == 0
+        assert streamed == list(baseline.log)
+        assert len(gen.log) == 0          # nothing accumulated
 
     def test_export_workload_trace_matches_in_memory_write(self, tmp_path):
         from repro.ethereum.export import export_workload_trace
-        from repro.graph.columnar import ColumnarLog
         from repro.graph.io import load_columnar, write_columnar
 
         cfg = WorkloadConfig.tiny(seed=11)
@@ -194,7 +210,7 @@ class TestLargeTierAndStreamingExport:
         result = export_workload_trace(cfg, streamed, version=3,
                                        chunk_rows=64)
         boxed = tmp_path / "boxed.rct"
-        log = ColumnarLog(WorkloadGenerator(cfg).run().builder.log)
+        log = WorkloadGenerator(cfg).run().log
         write_columnar(log, boxed, version=3)
         assert streamed.read_bytes() == boxed.read_bytes()
         assert result.rows == len(log)

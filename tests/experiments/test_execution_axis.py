@@ -17,7 +17,6 @@ from repro.experiments import (
     ResultStore,
     run_experiment,
 )
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
 from repro.sharding.throughput import ThroughputReport
 
@@ -238,7 +237,7 @@ class TestExecutionEnabledRuns:
         (and the same pre-existing metrics) through the columnar path."""
         trace = tmp_path / "tiny.rct"
         write_columnar(
-            ColumnarLog.from_interactions(tiny_workload.builder.log),
+            tiny_workload.log,
             trace, version=3,
         )
         tr_spec = ExperimentSpec(

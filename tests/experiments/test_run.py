@@ -41,7 +41,7 @@ def paper_rs(paper_spec, tiny_workload):
 class TestBitIdentity:
     def test_matches_legacy_replay_engine(self, paper_spec, paper_rs, tiny_workload):
         """Every cell equals an independent legacy ReplayEngine run."""
-        log = tiny_workload.builder.log
+        log = tiny_workload.log
         for key in paper_spec.cells():
             legacy = ReplayEngine(
                 log,
@@ -271,7 +271,7 @@ class TestIncrementalPersistence:
         chunks = parallel.partition_cells(list(spec.cells()), 2)
         delivered = []
         out = parallel.run_chunks_parallel(
-            tiny_workload.builder.log, 24 * HOUR, chunks, 2,
+            tiny_workload.log, 24 * HOUR, chunks, 2,
             on_chunk=delivered.append,
         )
         assert len(delivered) == len(chunks)

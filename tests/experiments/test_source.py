@@ -18,7 +18,6 @@ from repro.experiments import (
     TraceSource,
     run_experiment,
 )
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar, write_trace
 
 METHODS = ("hash", "fennel", "metis")
@@ -28,7 +27,7 @@ METHODS = ("hash", "fennel", "metis")
 def trace_file(tiny_workload, tmp_path_factory):
     """The tiny workload exported as a binary rctrace v2 file."""
     path = tmp_path_factory.mktemp("traces") / "tiny.rct"
-    write_columnar(ColumnarLog(tiny_workload.builder.log), path)
+    write_columnar(tiny_workload.log, path)
     return path
 
 
@@ -119,7 +118,7 @@ class TestTraceBitIdentity:
         """Text v1 now carries repr-precision timestamps, so even the
         human-readable format round-trips into identical replays."""
         path = tmp_path / "tiny.txt"
-        write_trace(tiny_workload.builder.log, path)
+        write_trace(tiny_workload.log, path)
         spec = ExperimentSpec(source=str(path), methods=METHODS, ks=(2, 4))
         rs = run_experiment(spec)
         for key in rs.keys():
@@ -152,7 +151,7 @@ class TestTraceBitIdentity:
         spec = ExperimentSpec(scale="tiny", methods=("hash",))
         with pytest.raises(ValueError, match="not both"):
             run_experiment(spec, workload=tiny_workload,
-                           log=tiny_workload.builder.log)
+                           log=tiny_workload.log)
 
 
 class TestTraceResume:
@@ -236,6 +235,45 @@ class TestFigureDriversWithTrace:
         assert {r.method for r in pit} == {"single-shard", "hash", "random"}
         assert all(r.throughput > 0 for r in pit)
 
+    def test_fig1_and_fig2_from_a_trace_equal_the_synthetic_run(
+        self, trace_file, tiny_workload
+    ):
+        from repro.analysis.fig1 import compute_fig1
+        from repro.analysis.fig2 import compute_fig2, render_fig2
+        from repro.graph.io import load_trace_log
+
+        traced = load_trace_log(trace_file)
+        assert compute_fig1(traced) == compute_fig1(tiny_workload.log)
+        got = compute_fig2(traced)
+        want = compute_fig2(tiny_workload.log)
+        assert want is not None
+        assert render_fig2(got, max_edges=10**6) == render_fig2(
+            want, max_edges=10**6)
+        assert (got.center, got.num_accounts, got.num_contracts,
+                got.contracts_without_incoming) == (
+            want.center, want.num_accounts, want.num_contracts,
+            want.contracts_without_incoming)
+        assert list(got.graph.vertices()) == list(want.graph.vertices())
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_cli_figure_runs_from_a_trace(self, trace_file, figure, capsys):
+        from repro.analysis.cli import main
+
+        assert main([figure, "--source", str(trace_file)]) == 0
+        assert f"source={trace_file}" in capsys.readouterr().out
+
+    def test_pitfall_from_a_trace_equals_the_synthetic_run(
+        self, trace_file, tiny_workload
+    ):
+        from repro.analysis.pitfall import compute_pitfall
+        from repro.analysis.runner import ExperimentRunner
+
+        synth = ExperimentRunner(scale="tiny", seed=42, metric_window_hours=24.0)
+        synth._workload = tiny_workload
+        traced = ExperimentRunner(metric_window_hours=24.0,
+                                  source=str(trace_file))
+        assert compute_pitfall(traced, k=2) == compute_pitfall(synth, k=2)
+
 
 class TestUnpicklableLogFanOut:
     def test_mmap_log_with_spawn_runs_inline(self, trace_file, monkeypatch):
@@ -289,7 +327,7 @@ class TestV3TraceSource:
     @pytest.fixture(scope="class")
     def v3_trace_file(self, tiny_workload, tmp_path_factory):
         path = tmp_path_factory.mktemp("traces") / "tiny_v3.rct"
-        write_columnar(ColumnarLog(tiny_workload.builder.log), path, version=3)
+        write_columnar(tiny_workload.log, path, version=3)
         return path
 
     def test_v3_loads_identical_to_v2(self, trace_file, v3_trace_file):

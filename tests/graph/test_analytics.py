@@ -87,15 +87,12 @@ class TestTraceStats:
         assert "calls/tx" in out
 
     def test_workload_is_heavy_tailed(self, small_workload):
-        stats = compute_trace_stats(
-            small_workload.graph, small_workload.builder.log
-        )
+        graph = build_graph(small_workload.log)
+        stats = compute_trace_stats(graph, small_workload.log)
         assert stats.degree.gini > 0.3
         assert stats.degree.top1pct_share > 0.10
         assert stats.calls_per_tx.maximum >= 3
-        exponent = powerlaw_tail_exponent(
-            degree_distribution(small_workload.graph)
-        )
+        exponent = powerlaw_tail_exponent(degree_distribution(graph))
         assert 1.5 < exponent < 4.0  # plausible power-law band
 
 

@@ -1,10 +1,13 @@
 """Property-based tests for graph substrate invariants."""
 
+from itertools import accumulate
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builder import GraphBuilder, Interaction, build_graph
-from repro.graph.digraph import WeightedDiGraph
+from repro.graph.builder import Interaction, build_graph, build_graph_columnar
+from repro.graph.columnar import ColumnarLog
+from repro.graph.digraph import VertexKind, WeightedDiGraph
 from repro.graph.undirected import collapse_to_undirected
 
 # strategy: a time-ordered interaction stream over a small vertex space
@@ -79,12 +82,51 @@ def test_predecessors_mirror_successors(stream):
 @given(interaction_streams)
 def test_window_split_partitions_the_log(stream):
     """Window graphs over a partition of time cover the whole stream."""
-    b = GraphBuilder()
-    b.add_many(stream)
-    mid = len(stream) / 2.0
-    first = b.window_graph(float("-inf"), mid)
-    second = b.window_graph(mid, float("inf"))
+    clog = ColumnarLog(stream)
+    n = len(clog)
+    mid = clog.index_at(n / 2.0)
+    first = build_graph_columnar(clog, 0, mid)
+    second = build_graph_columnar(clog, mid, n)
     assert first.total_edge_weight + second.total_edge_weight == len(stream)
+
+
+# a stream with kinds (a vertex may be seen as an account, then as a
+# contract) and runs of equal timestamps, plus a row range into it
+kinded_streams = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),  # src
+        st.integers(min_value=0, max_value=12),  # dst
+        st.sampled_from(list(VertexKind)),       # src kind
+        st.sampled_from(list(VertexKind)),       # dst kind
+        st.integers(min_value=0, max_value=1),   # timestamp step
+    ),
+    min_size=0,
+    max_size=60,
+).map(
+    lambda rows: [
+        Interaction(timestamp=float(ts), src=s, dst=d,
+                    src_kind=sk, dst_kind=dk, tx_id=i)
+        for i, ((s, d, sk, dk, _), ts) in enumerate(
+            zip(rows, accumulate(r[4] for r in rows)))
+    ]
+)
+
+
+@given(kinded_streams, st.data())
+def test_build_graph_columnar_equals_boxed_fold(stream, data):
+    """The batch fold over rows [lo, hi) of a log is the boxed fold of
+    the same slice: vertex order, kinds, first-seen, vertex weights,
+    edge order and edge weights."""
+    lo = data.draw(st.integers(min_value=0, max_value=len(stream)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(stream)))
+    got = build_graph_columnar(ColumnarLog(stream), lo, hi)
+    want = build_graph(stream[lo:hi])
+    assert list(got.vertices()) == list(want.vertices())
+    for v in want.vertices():
+        assert got.vertex_kind(v) is want.vertex_kind(v)
+        assert got.first_seen(v) == want.first_seen(v)
+        assert got.vertex_weight(v) == want.vertex_weight(v)
+    assert list(got.edges()) == list(want.edges())
 
 
 @given(interaction_streams, st.integers(min_value=1, max_value=5))

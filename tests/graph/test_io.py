@@ -102,7 +102,7 @@ def test_workload_trace_round_trip(tiny_workload, tmp_path):
     """The full synthetic history survives serialisation bit-identically
     (repr-precision timestamps; ids/kinds exact)."""
     path = tmp_path / "full.txt"
-    log = tiny_workload.builder.log
+    log = tiny_workload.log
     write_trace(log, str(path))
     back = list(read_trace(str(path)))
     assert back == list(log)

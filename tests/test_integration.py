@@ -143,7 +143,7 @@ class TestPaperClaims:
 
 class TestCrossCutting:
     def test_all_methods_assign_every_vertex(self, replays, small_workload):
-        n = small_workload.graph.num_vertices
+        n = small_workload.log.num_vertices
         for result in replays.values():
             assert len(result.assignment) == n
             result.assignment.validate()
@@ -162,7 +162,7 @@ class TestCrossCutting:
         from repro.core.replay import replay_method
         from repro.graph.snapshot import HOUR
 
-        log = small_workload.builder.log
+        log = small_workload.log
         a = replay_method(log, make_method("tr-metis", 2, seed=5),
                           metric_window=24 * HOUR)
         b = replay_method(log, make_method("tr-metis", 2, seed=5),
